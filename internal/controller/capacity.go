@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ribbon/internal/chaos"
 	"ribbon/internal/cloud"
@@ -13,6 +14,42 @@ import (
 )
 
 const msPerHour = 3600000.0
+
+// trigger is one reason for an out-of-band capacity re-search. The
+// constants are declared in precedence order: when several are pending at
+// a tick, the first one answers them all.
+type trigger uint8
+
+const (
+	triggerEmergency trigger = iota // an incumbent instance hard-failed
+	triggerDrain                    // a spot revocation warning
+	triggerSLO                      // a page alert on the critical tier
+	triggerPrice                    // the spot market moved past threshold
+)
+
+// String is the trigger's name in Reconfiguration.Trigger and the audit
+// trail.
+func (t trigger) String() string {
+	return [...]string{"emergency", "drain", "slo", "price"}[t]
+}
+
+// triggerSet holds the pending triggers, one bit per kind. It is a set
+// rather than a single highest value because the slo bit also clears on
+// its own when its alert resolves.
+type triggerSet uint8
+
+func (s *triggerSet) set(t trigger, on bool) {
+	if on {
+		*s |= 1 << t
+	} else {
+		*s &^= 1 << t
+	}
+}
+
+// first returns the highest-precedence pending trigger.
+func (s triggerSet) first() (trigger, bool) {
+	return trigger(bits.TrailingZeros8(uint8(s))), s != 0
+}
 
 // ObserveCapacity feeds one capacity event into the controller from a live
 // driver (the gateway's pool-health input). Revocations and failures mark
@@ -63,9 +100,9 @@ func (c *Controller) observeCapacityLocked(ev chaos.CapacityEvent) {
 		kind, msg := obs.EventKind("capacity_warning"), "spot revocation warning"
 		if ev.Kind == chaos.KindFailure {
 			kind, msg = obs.EventKind("capacity_failure"), "instance hard failure"
-			c.pendingEmergency = true
+			c.pending.set(triggerEmergency, true)
 		} else {
-			c.pendingDrain = true
+			c.pending.set(triggerDrain, true)
 		}
 		c.refreshLiveLocked()
 		c.trail.Record(ev.AtMs, kind, fmt.Sprintf("%s: %d %s", msg, take, ev.Family),
@@ -116,7 +153,7 @@ func (c *Controller) observeCapacityLocked(ev chaos.CapacityEvent) {
 		}
 		rel := math.Abs(ev.Factor/last - 1)
 		if rel >= c.cfg.Params.PriceRelThreshold {
-			c.pendingPrice = true
+			c.pending.set(triggerPrice, true)
 			c.trail.Record(ev.AtMs, "price_move", fmt.Sprintf("spot market moved %.1f%% on %s",
 				rel*100, ev.Family),
 				obs.F("family", ev.Family),

@@ -344,10 +344,7 @@ type Controller struct {
 	lost                  []int
 	market                map[string]float64
 	lastMarket            map[string]float64
-	pendingEmergency      bool
-	pendingDrain          bool
-	pendingPrice          bool
-	pendingSLO            bool
+	pending               triggerSet
 	capacityCooldownUntil float64
 	chaosIdx              int
 	accrualLastMs         float64
@@ -609,21 +606,9 @@ func (c *Controller) tick(ctx context.Context, nowMs float64) (*Reconfiguration,
 	// entirely — a revoked instance is hard evidence, not Poisson noise.
 	// Only the emergency cooldown gates them, so a storm is answered by
 	// consolidated re-searches rather than one per casualty.
-	trigger := ""
-	if nowMs >= c.capacityCooldownUntil {
-		switch {
-		case c.pendingEmergency:
-			trigger = "emergency"
-		case c.pendingDrain:
-			trigger = "drain"
-		case c.pendingSLO:
-			trigger = "slo"
-		case c.pendingPrice:
-			trigger = "price"
-		}
-	}
-	if trigger != "" {
-		c.pendingEmergency, c.pendingDrain, c.pendingPrice, c.pendingSLO = false, false, false, false
+	if t, ok := c.pending.first(); ok && nowMs >= c.capacityCooldownUntil {
+		trigger := t.String()
+		c.pending = 0
 		c.stat.State = StateAdapting
 		c.stat.PendingForMs = 0
 		c.mu.Unlock()

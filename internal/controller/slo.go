@@ -108,17 +108,17 @@ func (c *Controller) observeSLOLocked(nowMs float64) {
 			c.armSLOLocked(a)
 		}
 	}
-	// The pending flag tracks the live alert state: a response that did
+	// The pending slo bit tracks the live alert state: a response that did
 	// not fix the burn re-arms for a retry once the cooldown allows, and
 	// an alert that resolves before the response fired stands the trigger
 	// down.
-	c.pendingSLO = c.sloEngine.Firing(string(workload.ClassCritical), slo.SeverityPage)
+	c.pending.set(triggerSLO, c.sloEngine.Firing(string(workload.ClassCritical), slo.SeverityPage))
 }
 
 // armSLOLocked turns a firing page alert into the pending "slo" trigger and
 // records the arming event the recovery clock starts from.
 func (c *Controller) armSLOLocked(a slo.Alert) {
-	c.pendingSLO = true
+	c.pending.set(triggerSLO, true)
 	c.trail.Record(a.AtMs, "slo_breach", "page alert on "+a.Indicator+" arms emergency re-search",
 		obs.F("indicator", a.Indicator),
 		obs.F("tier", a.Tier),

@@ -309,6 +309,15 @@ func (sp Spec) Name() string {
 	return string(sp.Kind)
 }
 
+// ShedAt returns the effective criticality shed threshold: ShedQueueLength,
+// or DefaultShedQueueLength when it is zero.
+func (sp Spec) ShedAt() int {
+	if sp.ShedQueueLength == 0 {
+		return DefaultShedQueueLength
+	}
+	return sp.ShedQueueLength
+}
+
 // Validate rejects unknown kinds and negative thresholds.
 func (sp Spec) Validate() error {
 	if sp.ShedQueueLength < 0 {
@@ -340,11 +349,7 @@ func (sp Spec) New(pool []cloud.InstanceType, rng *stats.RNG) (Policy, error) {
 	case KindCostRandom:
 		return newCostRandomPolicy(pool, rng), nil
 	case KindCriticality:
-		shed := sp.ShedQueueLength
-		if shed == 0 {
-			shed = DefaultShedQueueLength
-		}
-		return criticalityPolicy{shedAt: shed}, nil
+		return criticalityPolicy{shedAt: sp.ShedAt()}, nil
 	}
 	panic("dispatch: unreachable: validated spec with unknown kind")
 }

@@ -8,13 +8,11 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ribbon/internal/cloud"
 	"ribbon/internal/models"
 	"ribbon/internal/perf"
-	"ribbon/internal/stats"
 )
 
 // Batch is one fused unit of backend work: the requests an instance worker
@@ -64,8 +62,7 @@ type SimBackend struct {
 	// Seed derives the service-time noise streams.
 	Seed uint64
 
-	rngs    sync.Pool
-	nextRNG atomic.Uint64
+	rngs rngLease
 }
 
 // NewSimBackend builds a simulated backend for the model.
@@ -79,21 +76,13 @@ func NewSimBackend(m models.Profile, timeScale float64, seed uint64) *SimBackend
 	return &SimBackend{Model: m, TimeScale: timeScale, Seed: seed}
 }
 
-func (s *SimBackend) rng() *stats.RNG {
-	if r, _ := s.rngs.Get().(*stats.RNG); r != nil {
-		return r
-	}
-	// Each leased RNG gets its own derived stream; workers run concurrently
-	// and live service noise needs independence, not replayability.
-	n := s.nextRNG.Add(1)
-	return stats.Derive(s.Seed, "gateway", "service", fmt.Sprintf("%d", n))
-}
-
 // Serve sleeps out the modeled service time for the batch.
 func (s *SimBackend) Serve(ctx context.Context, t cloud.InstanceType, b *Batch) (float64, error) {
-	r := s.rng()
+	// Workers run concurrently, and live service noise needs independent
+	// streams, not replayability.
+	r := s.rngs.get(s.Seed, "service")
 	ms := perf.NoisyServiceMs(s.Model, t, b.Samples, r)
-	s.rngs.Put(r)
+	s.rngs.put(r)
 	scale := s.TimeScale
 	if scale == 0 {
 		scale = 1
@@ -169,8 +158,7 @@ type ProxyBackend struct {
 	// Seed derives the jitter streams.
 	Seed uint64
 
-	rngs    sync.Pool
-	nextRNG atomic.Uint64
+	rngs rngLease
 }
 
 // errPermanent wraps an upstream answer that retrying cannot fix.
@@ -178,14 +166,6 @@ type errPermanent struct{ err error }
 
 func (e errPermanent) Error() string { return e.err.Error() }
 func (e errPermanent) Unwrap() error { return e.err }
-
-func (p *ProxyBackend) rng() *stats.RNG {
-	if r, _ := p.rngs.Get().(*stats.RNG); r != nil {
-		return r
-	}
-	n := p.nextRNG.Add(1)
-	return stats.Derive(p.Seed, "gateway", "proxy-jitter", fmt.Sprintf("%d", n))
-}
 
 // Serve forwards every request of the batch concurrently. Per-request
 // failures are reported through b.Errs; the batch-level error is reserved
@@ -259,9 +239,9 @@ func (p *ProxyBackend) forward(ctx context.Context, payload []byte) ([]byte, err
 			return nil, lastErr
 		}
 		// Jittered exponential backoff: base * 2^attempt * U[0.5, 1.5).
-		r := p.rng()
+		r := p.rngs.get(p.Seed, "proxy-jitter")
 		j := 0.5 + r.Float64()
-		p.rngs.Put(r)
+		p.rngs.put(r)
 		wait := time.Duration(backoff * float64(int(1)<<attempt) * j * float64(time.Millisecond))
 		timer := time.NewTimer(wait)
 		select {

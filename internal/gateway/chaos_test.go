@@ -119,6 +119,45 @@ func TestGatewayChaosForwardsToController(t *testing.T) {
 	}
 }
 
+// TestGatewayMetricsCarryControllerDegradation: /v1/gateway/metrics must
+// expose the controller's capacity view — live pool, degradation, event
+// count and accrued spend — the same fields the control-plane server
+// reports for a controller run.
+func TestGatewayMetricsCarryControllerDegradation(t *testing.T) {
+	g := newStaticGateway(t, Options{
+		Controller: &controller.Params{WindowMs: 2000, TickMs: 500, AdaptBudget: 4},
+		Sim:        serving.SimOptions{Seed: 42, Queries: 400, RateScale: 0.4},
+	})
+	// Arrivals drive the controller's ticks, and each tick accrues the
+	// incumbent's spend; wait until the feed is drained and spend shows.
+	const arrivals = 12
+	for i := 1; i <= arrivals; i++ {
+		g.IngestAsync(float64(100*i), 1, workload.ClassStandard)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _ := g.ControllerStatus()
+		if st.Arrivals == arrivals && st.AccruedCost > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("controller never accrued spend: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := g.Inject(chaos.CapacityEvent{AtMs: 1250, Kind: chaos.KindRevocation, Family: "m5", Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cs := g.MetricsDTO().Controller
+	if cs == nil {
+		t.Fatal("metrics carry no controller snapshot")
+	}
+	if len(cs.LiveConfig) == 0 || !cs.Degraded || cs.CapacityEvents != 1 || cs.AccruedCost <= 0 {
+		t.Fatalf("controller snapshot lost capacity fields: live_config=%v degraded=%v capacity_events=%d accrued_cost=%g",
+			cs.LiveConfig, cs.Degraded, cs.CapacityEvents, cs.AccruedCost)
+	}
+}
+
 // --- ProxyBackend hardening (flaky upstream coverage) ---
 
 func proxyBatch(payloads ...[]byte) *Batch {

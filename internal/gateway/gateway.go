@@ -203,9 +203,7 @@ type Gateway struct {
 	m      metrics
 	traces *obs.TraceRing
 	reqs   sync.Pool
-	rngs   sync.Pool
-
-	nextRNG atomic.Uint64
+	rngs   rngLease
 
 	// epoch anchors stream time to wall time: stream now =
 	// (wall - epoch) / timeScale. It is aligned on the first ingest so the
@@ -240,21 +238,8 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	if opts.Dispatch.Factory != nil {
 		return nil, errors.New("gateway: custom dispatch factories are not supported live")
 	}
-	kind := opts.Dispatch.Kind
-	if kind == "" {
-		kind = dispatch.KindFCFS
-	}
-	switch kind {
-	case dispatch.KindFCFS, dispatch.KindLeastLoaded, dispatch.KindCostRandom, dispatch.KindCriticality:
-	default:
-		return nil, fmt.Errorf("gateway: unknown dispatch kind %q", kind)
-	}
-	shedAt := opts.Dispatch.ShedQueueLength
-	if shedAt == 0 {
-		shedAt = dispatch.DefaultShedQueueLength
-	}
-	if shedAt < 0 {
-		return nil, errors.New("gateway: negative shed queue length")
+	if err := opts.Dispatch.Validate(); err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	timeScale := opts.TimeScale
 	if timeScale == 0 {
@@ -301,8 +286,8 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 		cancel:         cancel,
 		spec:           opts.Spec,
 		backend:        opts.Backend,
-		kind:           kind,
-		shedAt:         shedAt,
+		kind:           dispatch.Kind(opts.Dispatch.Name()),
+		shedAt:         opts.Dispatch.ShedAt(),
 		qosMs:          opts.Spec.Model.QoSLatencyMs,
 		seed:           opts.Seed,
 		timeScale:      timeScale,
@@ -334,7 +319,7 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	if auditCap == 0 {
 		auditCap = 512
 	}
-	g.m.init(reg, string(kind), opts.Logger, auditCap)
+	g.m.init(reg, string(g.kind), opts.Logger, auditCap)
 	if opts.TraceCapacity >= 0 {
 		g.traces = obs.NewTraceRing(opts.TraceCapacity, opts.TraceSampleEvery)
 	}
@@ -560,7 +545,6 @@ func (g *Gateway) grow(prev *pool, cfg serving.Config, warmupMs float64) *pool {
 			w = 1 / inst.typ.PricePerHour
 		}
 		p.weights[i] = w
-		p.wsum += w
 	}
 	return p
 }

@@ -10,6 +10,7 @@ import (
 	"ribbon/internal/dispatch"
 	"ribbon/internal/models"
 	"ribbon/internal/serving"
+	"ribbon/internal/stats"
 	"ribbon/internal/workload"
 )
 
@@ -196,6 +197,52 @@ func TestGatewayOverloadShedsOnlySheddable(t *testing.T) {
 	close(release)
 }
 
+// TestGatewayNewDispatchSpec: New validates the dispatch spec with the
+// dispatch package's own rules and defaults, and rejects custom factories,
+// which the live router cannot run.
+func TestGatewayNewDispatchSpec(t *testing.T) {
+	custom := func([]cloud.InstanceType, *stats.RNG) dispatch.Policy { return nil }
+	for _, tc := range []struct {
+		name       string
+		spec       dispatch.Spec
+		wantErr    bool
+		wantKind   dispatch.Kind
+		wantShedAt int
+	}{
+		{name: "zero value", wantKind: dispatch.KindFCFS, wantShedAt: dispatch.DefaultShedQueueLength},
+		{name: "criticality threshold", spec: dispatch.Spec{Kind: dispatch.KindCriticality, ShedQueueLength: 3},
+			wantKind: dispatch.KindCriticality, wantShedAt: 3},
+		{name: "unknown kind", spec: dispatch.Spec{Kind: "round-robin"}, wantErr: true},
+		{name: "negative shed length", spec: dispatch.Spec{Kind: dispatch.KindCriticality, ShedQueueLength: -1}, wantErr: true},
+		{name: "custom factory", spec: dispatch.Spec{Factory: custom}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(context.Background(), Options{
+				Spec:      testSpec(t),
+				Backend:   nullBackend{},
+				Dispatch:  tc.spec,
+				Initial:   serving.Config{1, 1, 1},
+				Bounds:    []int{4, 4, 4},
+				TimeScale: 0.001,
+			})
+			if tc.wantErr {
+				if err == nil {
+					g.Close()
+					t.Fatal("New accepted an invalid dispatch spec")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer g.Close()
+			if g.kind != tc.wantKind || g.shedAt != tc.wantShedAt {
+				t.Fatalf("kind %q shedAt %d, want %q %d", g.kind, g.shedAt, tc.wantKind, tc.wantShedAt)
+			}
+		})
+	}
+}
+
 // TestGatewayDispatchAllocs verifies the ingest hot path is allocation-free
 // in steady state: pooled requests, atomic counters, snapshot routing.
 func TestGatewayDispatchAllocs(t *testing.T) {
@@ -299,6 +346,7 @@ func TestGatewayConcurrentIngest(t *testing.T) {
 func TestGatewayApplyConfigDrainsRetired(t *testing.T) {
 	g := newStaticGateway(t, Options{Initial: serving.Config{3, 3, 3}, QueueDepth: 1 << 12})
 	stop := make(chan struct{})
+	started := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -312,8 +360,14 @@ func TestGatewayApplyConfigDrainsRetired(t *testing.T) {
 			}
 			arrival++
 			g.IngestAsync(arrival, 1, workload.ClassStandard)
+			if arrival == 1 {
+				close(started)
+			}
 		}
 	}()
+	// Reshape only once the flood is running, so the reconfigurations
+	// really happen under load even when the scheduler is slow to start it.
+	<-started
 	configs := []serving.Config{{1, 0, 0}, {2, 3, 1}, {0, 1, 4}, {3, 3, 3}}
 	for _, cfg := range configs {
 		g.applyConfig(cfg)

@@ -6,10 +6,9 @@ import (
 	"net/http"
 
 	"ribbon/api"
-	"ribbon/internal/controller"
 	"ribbon/internal/dispatch"
 	"ribbon/internal/obs"
-	"ribbon/internal/slo"
+	"ribbon/internal/wire"
 	"ribbon/internal/workload"
 )
 
@@ -146,49 +145,7 @@ func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
 			&api.Error{Code: api.ErrNotFound, Message: "slo engine not configured"})
 		return
 	}
-	writeJSON(w, http.StatusOK, sloStatusDTO(s))
-}
-
-// sloStatusDTO maps the SLO engine's snapshot onto the wire schema.
-func sloStatusDTO(s slo.Status) api.SLOStatus {
-	out := api.SLOStatus{
-		AtMs:       s.AtMs,
-		Firing:     s.Firing,
-		Objectives: make([]api.SLOObjective, 0, len(s.Objectives)),
-	}
-	for _, o := range s.Objectives {
-		dto := api.SLOObjective{
-			Name:            o.Name,
-			Tier:            o.Tier,
-			Kind:            o.Kind,
-			Target:          o.Target,
-			Good:            o.Good,
-			Total:           o.Total,
-			ErrorRate:       o.ErrorRate,
-			BudgetRemaining: o.BudgetRemaining,
-		}
-		for _, wd := range o.Windows {
-			dto.Windows = append(dto.Windows, api.SLOWindow{
-				WindowMs:  wd.WindowMs,
-				ErrorRate: wd.ErrorRate,
-				BurnRate:  wd.BurnRate,
-			})
-		}
-		for _, rl := range o.Rules {
-			dto.Rules = append(dto.Rules, api.SLORule{
-				Severity:  rl.Severity,
-				Threshold: rl.Threshold,
-				LongMs:    rl.LongMs,
-				ShortMs:   rl.ShortMs,
-				BurnLong:  rl.BurnLong,
-				BurnShort: rl.BurnShort,
-				Firing:    rl.Firing,
-				SinceMs:   rl.SinceMs,
-			})
-		}
-		out.Objectives = append(out.Objectives, dto)
-	}
-	return out
+	writeJSON(w, http.StatusOK, wire.SLOStatus(s))
 }
 
 // MetricsDTO assembles the wire-level metrics snapshot served by
@@ -234,76 +191,11 @@ func (g *Gateway) MetricsDTO() api.GatewayMetrics {
 			Retiring:   inst.Retiring,
 		})
 	}
-	out.Reconfigurations = make([]api.ControllerReconfiguration, 0, len(s.Reconfigurations))
-	for _, rec := range s.Reconfigurations {
-		out.Reconfigurations = append(out.Reconfigurations, reconfigDTO(rec))
-	}
-	out.Events = auditEventsDTO(s.Events)
+	out.Reconfigurations = wire.Reconfigurations(s.Reconfigurations)
+	out.Events = wire.AuditEvents(s.Events)
 	if stat, ok := g.ControllerStatus(); ok {
-		cs := controllerStatusDTO(stat)
+		cs := wire.ControllerStatus(stat)
 		out.Controller = &cs
 	}
-	return out
-}
-
-// auditEventsDTO maps obs audit events onto the wire schema.
-func auditEventsDTO(evs []obs.Event) []api.AuditEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]api.AuditEvent, 0, len(evs))
-	for _, ev := range evs {
-		dto := api.AuditEvent{
-			Seq:     ev.Seq,
-			AtMs:    ev.AtMs,
-			Kind:    string(ev.Kind),
-			Message: ev.Message,
-		}
-		for _, f := range ev.Fields {
-			dto.Fields = append(dto.Fields, api.AuditField{Key: f.Key, Value: f.Value})
-		}
-		out = append(out, dto)
-	}
-	return out
-}
-
-func reconfigDTO(rec controller.Reconfiguration) api.ControllerReconfiguration {
-	return api.ControllerReconfiguration{
-		AtMs:              rec.AtMs,
-		ObservedScale:     rec.ObservedScale,
-		OldScale:          rec.OldScale,
-		NewScale:          rec.NewScale,
-		From:              rec.From,
-		To:                rec.To,
-		FromCostPerHour:   rec.FromCostPerHour,
-		ToCostPerHour:     rec.ToCostPerHour,
-		MigrationCost:     rec.MigrationCost,
-		Trigger:           rec.Trigger,
-		IncumbentMeetsQoS: rec.IncumbentMeetsQoS,
-		Samples:           rec.Samples,
-		Applied:           rec.Applied,
-		Reason:            rec.Reason,
-	}
-}
-
-func controllerStatusDTO(s controller.Status) api.ControllerStatus {
-	out := api.ControllerStatus{
-		State:                string(s.State),
-		NowMs:                s.NowMs,
-		Arrivals:             s.Arrivals,
-		Ticks:                s.Ticks,
-		EstimatedScale:       s.EstimatedScale,
-		AppliedScale:         s.AppliedScale,
-		PendingForMs:         s.PendingForMs,
-		Incumbent:            s.Incumbent,
-		IncumbentCostPerHour: s.IncumbentCostPerHour,
-		IncumbentMeetsQoS:    s.IncumbentMeetsQoS,
-		SearchSamples:        s.SearchSamples,
-		Reconfigurations:     make([]api.ControllerReconfiguration, 0, len(s.Reconfigurations)),
-	}
-	for _, rec := range s.Reconfigurations {
-		out.Reconfigurations = append(out.Reconfigurations, reconfigDTO(rec))
-	}
-	out.Events = auditEventsDTO(s.Events)
 	return out
 }

@@ -3,6 +3,8 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ribbon/internal/dispatch"
@@ -19,9 +21,8 @@ type pool struct {
 	// then instance age within a type.
 	instances []*instance
 	// weights is each instance's inverse hourly price, for the
-	// cost-random policy; wsum their total.
+	// cost-random policy.
 	weights []float64
-	wsum    float64
 	// config is the instance-count vector this snapshot realizes.
 	config serving.Config
 }
@@ -126,9 +127,9 @@ func (g *Gateway) pickCostRandom(p *pool) *instance {
 	if idle == 0 {
 		return nil
 	}
-	rng := g.rng()
+	rng := g.rngs.get(g.seed, "router")
 	x := rng.Float64() * idle
-	g.rngs.Put(rng)
+	g.rngs.put(rng)
 	for i, inst := range p.instances {
 		if inst.load() != 0 {
 			continue
@@ -194,11 +195,22 @@ func (g *Gateway) rescue(inst *instance) {
 	}
 }
 
-// rng leases a router RNG, deriving a fresh independent stream on first use.
-func (g *Gateway) rng() *stats.RNG {
-	if r, _ := g.rngs.Get().(*stats.RNG); r != nil {
+// rngLease hands RNGs to concurrent users. A leased RNG goes back with put;
+// a miss derives a fresh independent stream ("gateway", label, n) from the
+// seed, so concurrent users never share one and none allocates once warm.
+type rngLease struct {
+	pool sync.Pool
+	next atomic.Uint64
+}
+
+// get leases an RNG, deriving a new stream under seed and label on a miss.
+func (l *rngLease) get(seed uint64, label string) *stats.RNG {
+	if r, _ := l.pool.Get().(*stats.RNG); r != nil {
 		return r
 	}
-	n := g.nextRNG.Add(1)
-	return stats.Derive(g.seed, "gateway", "router", fmt.Sprintf("%d", n))
+	n := l.next.Add(1)
+	return stats.Derive(seed, "gateway", label, fmt.Sprintf("%d", n))
 }
+
+// put returns a leased RNG.
+func (l *rngLease) put(r *stats.RNG) { l.pool.Put(r) }

@@ -8,6 +8,7 @@ import (
 	"ribbon"
 	"ribbon/api"
 	"ribbon/internal/obs"
+	"ribbon/internal/wire"
 	"ribbon/internal/workload"
 )
 
@@ -144,72 +145,9 @@ func (c *ctl) view() api.Controller {
 		StartedAt:  c.started,
 		FinishedAt: c.finished,
 		Spec:       c.spec,
-		Snapshot:   controllerStatusDTO(c.ctrl.Status()),
+		Snapshot:   wire.ControllerStatus(c.ctrl.Status()),
 		Error:      c.err,
 	}
-}
-
-// controllerStatusDTO maps the library snapshot onto the wire schema.
-func controllerStatusDTO(st ribbon.ControllerStatus) api.ControllerStatus {
-	out := api.ControllerStatus{
-		State:                string(st.State),
-		NowMs:                st.NowMs,
-		Arrivals:             st.Arrivals,
-		Ticks:                st.Ticks,
-		EstimatedScale:       st.EstimatedScale,
-		AppliedScale:         st.AppliedScale,
-		PendingForMs:         st.PendingForMs,
-		Incumbent:            st.Incumbent,
-		IncumbentCostPerHour: st.IncumbentCostPerHour,
-		IncumbentMeetsQoS:    st.IncumbentMeetsQoS,
-		SearchSamples:        st.SearchSamples,
-		LiveConfig:           st.LiveConfig,
-		Degraded:             st.Degraded,
-		CapacityEvents:       st.CapacityEvents,
-		AccruedCost:          st.AccruedCost,
-		Reconfigurations:     make([]api.ControllerReconfiguration, 0, len(st.Reconfigurations)),
-	}
-	for _, r := range st.Reconfigurations {
-		out.Reconfigurations = append(out.Reconfigurations, api.ControllerReconfiguration{
-			AtMs:              r.AtMs,
-			ObservedScale:     r.ObservedScale,
-			OldScale:          r.OldScale,
-			NewScale:          r.NewScale,
-			From:              r.From,
-			To:                r.To,
-			FromCostPerHour:   r.FromCostPerHour,
-			ToCostPerHour:     r.ToCostPerHour,
-			MigrationCost:     r.MigrationCost,
-			Trigger:           r.Trigger,
-			IncumbentMeetsQoS: r.IncumbentMeetsQoS,
-			Samples:           r.Samples,
-			Applied:           r.Applied,
-			Reason:            r.Reason,
-		})
-	}
-	out.Events = auditEventsDTO(st.Events)
-	return out
-}
-
-// auditEventsDTO maps obs audit events onto the wire schema.
-func auditEventsDTO(evs []obs.Event) []api.AuditEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]api.AuditEvent, 0, len(evs))
-	for _, ev := range evs {
-		dto := api.AuditEvent{
-			Seq:     ev.Seq,
-			AtMs:    ev.AtMs,
-			Kind:    string(ev.Kind),
-			Message: ev.Message,
-		}
-		for _, f := range ev.Fields {
-			dto.Fields = append(dto.Fields, api.AuditField{Key: f.Key, Value: f.Value})
-		}
-		out = append(out, dto)
-	}
-	return out
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {

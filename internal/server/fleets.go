@@ -8,6 +8,7 @@ import (
 	"ribbon"
 	"ribbon/api"
 	"ribbon/internal/obs"
+	"ribbon/internal/wire"
 )
 
 // flt is the server-side state of one fleet optimization. fleet is
@@ -101,7 +102,7 @@ func fleetStatusDTO(st ribbon.FleetStatus) api.FleetStatus {
 		BudgetPerHour: st.BudgetPerHour,
 		Models:        make([]api.FleetModelStatus, 0, len(st.Models)),
 		Refined:       st.Refined,
-		Events:        auditEventsDTO(st.Events),
+		Events:        wire.AuditEvents(st.Events),
 	}
 	for _, m := range st.Models {
 		out.Models = append(out.Models, api.FleetModelStatus{

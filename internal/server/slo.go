@@ -7,6 +7,7 @@ import (
 	"ribbon/api"
 	"ribbon/internal/obs"
 	"ribbon/internal/slo"
+	"ribbon/internal/wire"
 )
 
 // The control plane's own SLO: availability of the HTTP API, measured from
@@ -88,49 +89,5 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, &api.Error{Code: api.ErrNotFound, Message: "slo engine disabled"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sloStatusDTO(s.slo.Status()))
-}
-
-// sloStatusDTO maps the engine snapshot onto the wire schema. Deliberately
-// duplicated from internal/gateway: the packages share the wire types in
-// api, not their DTO assembly.
-func sloStatusDTO(st slo.Status) api.SLOStatus {
-	out := api.SLOStatus{
-		AtMs:       st.AtMs,
-		Firing:     st.Firing,
-		Objectives: make([]api.SLOObjective, 0, len(st.Objectives)),
-	}
-	for _, o := range st.Objectives {
-		dto := api.SLOObjective{
-			Name:            o.Name,
-			Tier:            o.Tier,
-			Kind:            o.Kind,
-			Target:          o.Target,
-			Good:            o.Good,
-			Total:           o.Total,
-			ErrorRate:       o.ErrorRate,
-			BudgetRemaining: o.BudgetRemaining,
-		}
-		for _, w := range o.Windows {
-			dto.Windows = append(dto.Windows, api.SLOWindow{
-				WindowMs:  w.WindowMs,
-				ErrorRate: w.ErrorRate,
-				BurnRate:  w.BurnRate,
-			})
-		}
-		for _, rl := range o.Rules {
-			dto.Rules = append(dto.Rules, api.SLORule{
-				Severity:  rl.Severity,
-				Threshold: rl.Threshold,
-				LongMs:    rl.LongMs,
-				ShortMs:   rl.ShortMs,
-				BurnLong:  rl.BurnLong,
-				BurnShort: rl.BurnShort,
-				Firing:    rl.Firing,
-				SinceMs:   rl.SinceMs,
-			})
-		}
-		out.Objectives = append(out.Objectives, dto)
-	}
-	return out
+	s.writeJSON(w, http.StatusOK, wire.SLOStatus(s.slo.Status()))
 }

@@ -9,7 +9,8 @@
 //
 // Evaluating one configuration is the "costly black-box sample" that Ribbon's
 // Bayesian optimizer minimizes. The event loop merges an arrival cursor with
-// a typed completions heap over a sync.Pool buffer arena, so one evaluation
+// a typed completions heap (completionHeap, a FIFO-on-ties min-heap of plain
+// values) over a sync.Pool buffer arena, so one evaluation
 // costs ~11 allocations and is safe to run concurrently — see
 // docs/performance.md. The CachingEvaluator adds memoization, the
 // exploration-cost accounting behind Figs. 13 and 14, and the uncharged

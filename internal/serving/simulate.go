@@ -10,7 +10,6 @@ import (
 	"ribbon/internal/cloud"
 	"ribbon/internal/dispatch"
 	"ribbon/internal/perf"
-	"ribbon/internal/sim"
 	"ribbon/internal/stats"
 	"ribbon/internal/workload"
 )
@@ -197,7 +196,7 @@ type evalScratch struct {
 	sorted    []float64
 	types     []cloud.InstanceType
 	state     *dispatch.State
-	heap      sim.CompletionHeap
+	heap      completionHeap
 }
 
 // arrivalOrder returns the stable arrival-time ordering of the queries, or
