@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"ribbon/api"
-	"ribbon/internal/obs"
 )
 
 // Default retry policy: the server answers 503/overloaded when one of its
@@ -58,7 +58,7 @@ type Client struct {
 	hc            *http.Client
 	retryAttempts int
 	retryBase     time.Duration
-	logger        *obs.Logger
+	logger        *slog.Logger
 
 	// alerts remembers the firing set of the previous Alerts call so each
 	// transition logs exactly once (see slo.go).
@@ -92,10 +92,11 @@ func WithRetry(attempts int, base time.Duration) Option {
 	}
 }
 
-// WithLogger attaches a structured logger (ribbon.NewLogger); the retry
-// loop then emits one backoff event per retried attempt, recording the
-// route, the attempt number, and the chosen sleep. A nil logger is inert.
-func WithLogger(l *obs.Logger) Option {
+// WithLogger attaches a log/slog logger (for example from
+// ribbon.NewLogger); the retry loop then emits one backoff event per
+// retried attempt, recording the route, the attempt number, and the chosen
+// sleep. A nil logger, like no WithLogger at all, disables logging.
+func WithLogger(l *slog.Logger) Option {
 	return func(c *Client) { c.logger = l }
 }
 
@@ -109,6 +110,9 @@ func New(baseURL string, opts ...Option) *Client {
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.logger == nil {
+		c.logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
@@ -158,10 +162,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			sleep = ra
 		}
 		c.logger.Warn("overloaded; backing off",
-			obs.F("method", method), obs.F("path", path),
-			obs.F("attempt", attempt+1), obs.F("attempts", attempts),
-			obs.F("sleep_ms", sleep.Milliseconds()),
-			obs.F("retry_after_ms", retryAfterOf(err).Milliseconds()))
+			"method", method, "path", path,
+			"attempt", attempt+1, "attempts", attempts,
+			"sleep_ms", sleep.Milliseconds(),
+			"retry_after_ms", retryAfterOf(err).Milliseconds())
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -534,7 +535,7 @@ func TestRetryBackoffLogging(t *testing.T) {
 	var buf bytes.Buffer
 	c := New(hs.URL,
 		WithRetry(3, time.Millisecond),
-		WithLogger(obs.NewLogger(&buf, obs.LevelInfo, obs.FormatText)))
+		WithLogger(obs.NewLogger(&buf, slog.LevelInfo, obs.FormatText)))
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatalf("health after transient overload: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"ribbon/api"
-	"ribbon/internal/obs"
 )
 
 // SLO fetches the control-plane server's own SLO status — the availability
@@ -94,15 +93,15 @@ func (c *Client) logAlertTransitions(firing []Alert) {
 	for key, a := range now {
 		if _, was := prev[key]; !was {
 			c.logger.Warn("slo alert firing",
-				obs.F("objective", a.Objective), obs.F("severity", a.Severity),
-				obs.F("burn_long", a.BurnLong), obs.F("burn_short", a.BurnShort),
-				obs.F("threshold", a.Threshold), obs.F("since_ms", a.SinceMs))
+				"objective", a.Objective, "severity", a.Severity,
+				"burn_long", a.BurnLong, "burn_short", a.BurnShort,
+				"threshold", a.Threshold, "since_ms", a.SinceMs)
 		}
 	}
 	for key, a := range prev {
 		if _, still := now[key]; !still {
 			c.logger.Info("slo alert resolved",
-				obs.F("objective", a.Objective), obs.F("severity", a.Severity))
+				"objective", a.Objective, "severity", a.Severity)
 		}
 	}
 }

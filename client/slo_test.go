@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -81,7 +82,7 @@ func TestAlertsLogsEachTransitionOnce(t *testing.T) {
 		logMu.Lock()
 		defer logMu.Unlock()
 		lines = append(lines, fmt.Sprintf(format, args...))
-	}, obs.LevelInfo)
+	}, slog.LevelInfo)
 
 	c := New(srv.URL, WithLogger(logger))
 	ctx := context.Background()
@@ -132,4 +133,28 @@ func countMatching(mu *sync.Mutex, lines *[]string, substr string) int {
 		}
 	}
 	return n
+}
+
+// TestAlertsWithoutLogger drives a firing→resolved transition on a client
+// built without WithLogger: both transitions log, so both must be inert.
+func TestAlertsWithoutLogger(t *testing.T) {
+	rules := func(firing bool) api.SLOStatus {
+		return api.SLOStatus{Objectives: []api.SLOObjective{{
+			Name: "qos_attainment/critical", Tier: "critical", Kind: "qos_attainment", Target: 0.99,
+			Rules: []api.SLORule{{Severity: "page", Threshold: 5, Firing: firing, BurnLong: 80}},
+		}}}
+	}
+	var mu sync.Mutex
+	status := rules(true)
+	c := New(fakeSLOServer(t, &status, &mu).URL)
+	ctx := context.Background()
+	if alerts, err := c.Alerts(ctx); err != nil || len(alerts) != 1 {
+		t.Fatalf("firing poll = %+v, %v", alerts, err)
+	}
+	mu.Lock()
+	status = rules(false)
+	mu.Unlock()
+	if alerts, err := c.Alerts(ctx); err != nil || len(alerts) != 0 {
+		t.Fatalf("resolved poll = %+v, %v", alerts, err)
+	}
 }

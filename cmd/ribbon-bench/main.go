@@ -198,21 +198,8 @@ func runPerf(s experiments.Setup, out string, smoke bool) error {
 		return err
 	}
 	fmt.Println()
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("perf report written to %s\n", out)
+	if err := writeReport(out, report); err != nil {
+		return err
 	}
 	if !smoke {
 		return nil
@@ -246,21 +233,8 @@ func runChaos(s experiments.Setup, out string, smoke bool) error {
 		return err
 	}
 	fmt.Println()
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("chaos report written to %s\n", out)
+	if err := writeReport(out, report); err != nil {
+		return err
 	}
 	if !smoke {
 		return nil
@@ -361,23 +335,29 @@ func runGateway(s experiments.Setup, out, url string, smoke bool, requests int,
 			return err
 		}
 	}
-	if out == "" {
+	return writeReport(out, report)
+}
+
+// writeReport writes v as indented JSON to path; an empty path disables
+// the report.
+func writeReport(path string, v any) error {
+	if path == "" {
 		return nil
 	}
-	f, err := os.Create(out)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(report); err != nil {
+	if err := enc.Encode(v); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("gateway report written to %s\n", out)
+	fmt.Printf("report written to %s\n", path)
 	return nil
 }
 

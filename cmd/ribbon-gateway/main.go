@@ -31,6 +31,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -91,7 +92,7 @@ func main() {
 	)
 	flag.Parse()
 
-	logger, err := newLogger(*logLevel, *logFormat)
+	logger, err := obs.NewFlagLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ribbon-gateway: %v\n", err)
 		os.Exit(2)
@@ -103,7 +104,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer stopPprof()
-		logger.Info("pprof listening", obs.F("addr", bound))
+		logger.Info("pprof listening", "addr", bound)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -169,21 +170,8 @@ type gatewayFlags struct {
 	slo              bool
 	sloSampleMs      float64
 	sloTrigger       bool
-	logger           *obs.Logger
+	logger           *slog.Logger
 	traceSampleEvery int
-}
-
-// newLogger builds the process logger from the -log-level/-log-format flags.
-func newLogger(level, format string) (*obs.Logger, error) {
-	lv, err := obs.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := obs.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return obs.NewLogger(os.Stderr, lv, fm), nil
 }
 
 // buildOptions translates flags into gateway.Options.
@@ -281,10 +269,14 @@ func run(ctx context.Context, addr string, opts gateway.Options) error {
 		return err
 	}
 	defer g.Close()
-	opts.Logger.Info("ribbon-gateway pool ready",
-		obs.F("config", g.Config().Key()),
-		obs.F("model", opts.Spec.Model.Name),
-		obs.F("dispatch", opts.Dispatch.Name()))
+	logger := opts.Logger
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
+	logger.Info("ribbon-gateway pool ready",
+		"config", g.Config().Key(),
+		"model", opts.Spec.Model.Name,
+		"dispatch", opts.Dispatch.Name())
 
 	hs := &http.Server{
 		Addr:        addr,
@@ -293,7 +285,7 @@ func run(ctx context.Context, addr string, opts gateway.Options) error {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		opts.Logger.Info("ribbon-gateway listening", obs.F("addr", addr))
+		logger.Info("ribbon-gateway listening", "addr", addr)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -302,7 +294,7 @@ func run(ctx context.Context, addr string, opts gateway.Options) error {
 		return err
 	case <-ctx.Done():
 	}
-	opts.Logger.Info("ribbon-gateway shutting down")
+	logger.Info("ribbon-gateway shutting down")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return hs.Shutdown(drainCtx)

@@ -117,12 +117,12 @@ func TestBuildOptionsRejectsBadFlags(t *testing.T) {
 // TestPprofFlagSmoke exercises the -pprof-addr wiring: a dedicated listener
 // serving the pprof index, separate from the data-plane mux.
 func TestPprofFlagSmoke(t *testing.T) {
-	if _, err := newLogger("info", "yaml"); err == nil {
-		t.Fatal("newLogger accepted a bogus format")
+	if _, err := obs.NewFlagLogger(io.Discard, "info", "yaml"); err == nil {
+		t.Fatal("NewFlagLogger accepted a bogus format")
 	}
-	logger, err := newLogger("warn", "text")
+	logger, err := obs.NewFlagLogger(io.Discard, "warn", "text")
 	if err != nil || logger == nil {
-		t.Fatalf("newLogger = %v, %v", logger, err)
+		t.Fatalf("NewFlagLogger = %v, %v", logger, err)
 	}
 
 	addr, stop, err := obs.ServePprof("127.0.0.1:0")

@@ -51,6 +51,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -78,7 +79,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (empty: disabled)")
 	flag.Parse()
 
-	logger, err := newLogger(*logLevel, *logFormat)
+	logger, err := obs.NewFlagLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ribbon-server: %v\n", err)
 		os.Exit(2)
@@ -90,7 +91,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer stopPprof()
-		logger.Info("pprof listening", obs.F("addr", bound))
+		logger.Info("pprof listening", "addr", bound)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -112,19 +113,6 @@ func main() {
 	}
 }
 
-// newLogger builds the process logger from the -log-level/-log-format flags.
-func newLogger(level, format string) (*obs.Logger, error) {
-	lv, err := obs.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := obs.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return obs.NewLogger(os.Stderr, lv, fm), nil
-}
-
 // run serves until the context is cancelled, then shuts down gracefully:
 // in-flight requests get a drain window and job workers are stopped. Request
 // contexts derive from ctx (via BaseContext), so cancelling it also aborts
@@ -133,6 +121,10 @@ func newLogger(level, format string) (*obs.Logger, error) {
 func run(ctx context.Context, addr string, cfg server.Config) error {
 	srv := server.New(cfg)
 	defer srv.Close()
+	logger := cfg.Logger
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
 
 	hs := &http.Server{
 		Addr:        addr,
@@ -141,7 +133,7 @@ func run(ctx context.Context, addr string, cfg server.Config) error {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		cfg.Logger.Info("ribbon-server listening", obs.F("addr", addr))
+		logger.Info("ribbon-server listening", "addr", addr)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -150,7 +142,7 @@ func run(ctx context.Context, addr string, cfg server.Config) error {
 		return err
 	case <-ctx.Done():
 	}
-	cfg.Logger.Info("ribbon-server shutting down")
+	logger.Info("ribbon-server shutting down")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return hs.Shutdown(drainCtx)

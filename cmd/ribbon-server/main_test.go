@@ -70,12 +70,12 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 // TestPprofFlagSmoke exercises the -pprof-addr wiring: a dedicated listener
 // serving the pprof index, separate from the service mux.
 func TestPprofFlagSmoke(t *testing.T) {
-	if _, err := newLogger("verbose", "text"); err == nil {
-		t.Fatal("newLogger accepted a bogus level")
+	if _, err := obs.NewFlagLogger(io.Discard, "verbose", "text"); err == nil {
+		t.Fatal("NewFlagLogger accepted a bogus level")
 	}
-	logger, err := newLogger("debug", "json")
+	logger, err := obs.NewFlagLogger(io.Discard, "debug", "json")
 	if err != nil || logger == nil {
-		t.Fatalf("newLogger = %v, %v", logger, err)
+		t.Fatalf("NewFlagLogger = %v, %v", logger, err)
 	}
 
 	addr, stop, err := obs.ServePprof("127.0.0.1:0")

@@ -439,20 +439,6 @@ func (o *Optimizer) Suggest() ([]int, bool) {
 	return o.decode(idx, make([]int, len(o.bounds))), true
 }
 
-// SuggestBatch proposes the next configuration plus up to k-1 speculative
-// follow-ups via the constant-liar rule (see Speculate). The first element
-// is exactly what Suggest would return. It is one of two batching paths:
-// SuggestTopK produces a whole batch from a single acquisition scan and is
-// preferred when evaluations are cheap, while the liar chain here predicts
-// the sequential trajectory more faithfully at one full scan per proposal.
-func (o *Optimizer) SuggestBatch(k int) ([][]int, bool) {
-	x, ok := o.Suggest()
-	if !ok {
-		return nil, false
-	}
-	return append([][]int{x}, o.Speculate(x, k-1, nil)...), true
-}
-
 // scanMinCells is the candidate-count threshold below which the EI argmax
 // scan stays serial: goroutine fan-out costs more than it saves.
 const scanMinCells = 4096

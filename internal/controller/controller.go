@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 
 	"ribbon/internal/chaos"
@@ -184,7 +185,7 @@ type Config struct {
 	// line. Logging never influences decisions: the audit trail itself is
 	// stamped with stream time only, so seeded replays stay byte-identical
 	// whether or not a logger is attached.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// AuditCapacity bounds the retained audit events; 256 when zero.
 	AuditCapacity int
 	// Chaos, when non-nil, is the capacity-event schedule the controller
@@ -531,56 +532,20 @@ func (c *Controller) initialize(ctx context.Context) error {
 // status; on context cancellation the partial status accumulated so far is
 // returned with the context's error. Run may be called once per Controller.
 func (c *Controller) Run(ctx context.Context, stream *workload.Stream) (Status, error) {
-	c.mu.Lock()
-	if c.ran {
-		c.mu.Unlock()
-		return c.Snapshot(), errors.New("controller: Run already called")
+	if err := c.claimRun(); err != nil {
+		return c.Snapshot(), err
 	}
-	c.ran = true
-	c.mu.Unlock()
-
 	if stream == nil || len(stream.Queries) == 0 {
 		return c.Snapshot(), errors.New("controller: empty stream")
 	}
-	if err := c.initialize(ctx); err != nil {
-		return c.Snapshot(), err
-	}
-
-	tick := c.cfg.Params.TickMs
-	nextTick := tick
-	for _, q := range stream.Queries {
-		// A tick observes only arrivals at or before its boundary.
-		for nextTick <= q.ArrivalMs {
-			if err := ctx.Err(); err != nil {
-				return c.Snapshot(), err
-			}
-			if _, err := c.tick(ctx, nextTick); err != nil {
-				return c.Snapshot(), err
-			}
-			nextTick += tick
+	i := 0
+	return c.loop(ctx, func() (float64, bool, error) {
+		if i == len(stream.Queries) {
+			return 0, false, nil
 		}
-		c.mu.Lock()
-		c.est.Observe(q.ArrivalMs)
-		c.stat.Arrivals++
-		c.stat.NowMs = q.ArrivalMs
-		c.mu.Unlock()
-	}
-	// One closing tick at the end of the stream, so a shift during the
-	// final partial window still registers in the status.
-	last := stream.Queries[len(stream.Queries)-1].ArrivalMs
-	if err := ctx.Err(); err != nil {
-		return c.Snapshot(), err
-	}
-	if _, err := c.tick(ctx, last); err != nil {
-		return c.Snapshot(), err
-	}
-
-	c.mu.Lock()
-	c.stat.State = StateDone
-	c.stat.PendingForMs = 0
-	out := c.snapshotLocked()
-	c.mu.Unlock()
-	return out, nil
+		i++
+		return stream.Queries[i-1].ArrivalMs, true, nil
+	}, nil)
 }
 
 // tick runs one detector evaluation at stream time nowMs and launches a

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestControllerTelemetryPreservesDeterminism(t *testing.T) {
 
 	var buf strings.Builder
 	cfg := testConfig()
-	cfg.Logger = obs.NewLogger(&buf, obs.LevelDebug, obs.FormatText)
+	cfg.Logger = obs.NewLogger(&buf, slog.LevelDebug, obs.FormatText)
 	logged := mustRun(t, cfg, phases)
 
 	a := fmt.Sprintf("%#v", silent)

@@ -27,19 +27,51 @@ import (
 // context is cancelled (partial status, context error). Like Run, it may be
 // called once per Controller, and Snapshot remains safe to call concurrently.
 func (c *Controller) RunLive(ctx context.Context, arrivals <-chan float64, onDecision func(Reconfiguration)) (Status, error) {
-	c.mu.Lock()
-	if c.ran {
-		c.mu.Unlock()
-		return c.Snapshot(), errors.New("controller: Run already called")
+	if err := c.claimRun(); err != nil {
+		return c.Snapshot(), err
 	}
-	c.ran = true
-	c.mu.Unlock()
-
 	if arrivals == nil {
 		return c.Snapshot(), errors.New("controller: nil arrival feed")
 	}
+	return c.loop(ctx, func() (float64, bool, error) {
+		select {
+		case <-ctx.Done():
+			return 0, false, ctx.Err()
+		case t, ok := <-arrivals:
+			return t, ok, nil
+		}
+	}, onDecision)
+}
+
+// claimRun marks the controller as run; Run and RunLive share one claim.
+func (c *Controller) claimRun() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ran {
+		return errors.New("controller: Run already called")
+	}
+	c.ran = true
+	return nil
+}
+
+// loop is the control loop behind Run and RunLive. next yields arrival
+// timestamps until it reports false (end of feed) or an error; every tick
+// boundary at or before an arrival is evaluated before that arrival is
+// observed, and a closing tick at the last arrival registers a shift inside
+// the final partial window. Each decision goes to onDecision when non-nil.
+func (c *Controller) loop(ctx context.Context, next func() (float64, bool, error), onDecision func(Reconfiguration)) (Status, error) {
 	if err := c.initialize(ctx); err != nil {
 		return c.Snapshot(), err
+	}
+	tickAt := func(nowMs float64) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rec, err := c.tick(ctx, nowMs)
+		if err == nil && rec != nil && onDecision != nil {
+			onDecision(*rec)
+		}
+		return err
 	}
 
 	tick := c.cfg.Params.TickMs
@@ -47,48 +79,19 @@ func (c *Controller) RunLive(ctx context.Context, arrivals <-chan float64, onDec
 	last := 0.0
 	seen := false
 	for {
-		var t float64
-		select {
-		case <-ctx.Done():
-			return c.Snapshot(), ctx.Err()
-		case v, ok := <-arrivals:
-			if !ok {
-				// Feed closed: one closing tick so a shift inside the
-				// final partial window still registers.
-				if seen {
-					if err := ctx.Err(); err != nil {
-						return c.Snapshot(), err
-					}
-					rec, err := c.tick(ctx, last)
-					if err != nil {
-						return c.Snapshot(), err
-					}
-					if rec != nil && onDecision != nil {
-						onDecision(*rec)
-					}
-				}
-				c.mu.Lock()
-				c.stat.State = StateDone
-				c.stat.PendingForMs = 0
-				out := c.snapshotLocked()
-				c.mu.Unlock()
-				return out, nil
-			}
-			t = v
+		t, ok, err := next()
+		if err != nil {
+			return c.Snapshot(), err
+		}
+		if !ok {
+			break
 		}
 		if t < last {
 			t = last // clamp stragglers; the estimator needs monotone time
 		}
 		for nextTick <= t {
-			if err := ctx.Err(); err != nil {
+			if err := tickAt(nextTick); err != nil {
 				return c.Snapshot(), err
-			}
-			rec, err := c.tick(ctx, nextTick)
-			if err != nil {
-				return c.Snapshot(), err
-			}
-			if rec != nil && onDecision != nil {
-				onDecision(*rec)
 			}
 			nextTick += tick
 		}
@@ -100,4 +103,15 @@ func (c *Controller) RunLive(ctx context.Context, arrivals <-chan float64, onDec
 		last = t
 		seen = true
 	}
+	if seen {
+		if err := tickAt(last); err != nil {
+			return c.Snapshot(), err
+		}
+	}
+	c.mu.Lock()
+	c.stat.State = StateDone
+	c.stat.PendingForMs = 0
+	out := c.snapshotLocked()
+	c.mu.Unlock()
+	return out, nil
 }

@@ -573,9 +573,6 @@ func (s *Searcher) BestMeeting() (serving.Result, bool) { return s.bestMeeting, 
 // Trace returns the evaluation history.
 func (s *Searcher) Trace() []Step { return append([]Step(nil), s.trace...) }
 
-// PruneCeilings exposes the active prune set for reports.
-func (s *Searcher) PruneCeilings() []serving.Config { return s.prune.Ceilings() }
-
 // RibbonStrategy adapts the Searcher to the Strategy interface used by the
 // head-to-head experiments.
 type RibbonStrategy struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"sort"
 	"sync"
@@ -58,7 +59,7 @@ type Config struct {
 	// Logger, when set, mirrors every audit event as a structured log line.
 	// Logging never influences decisions: the pipeline is byte-identical
 	// with or without it.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// AuditCapacity bounds the decision audit trail; 128 when zero. Events
 	// are recorded only at deterministic pipeline barriers (never from the
 	// concurrent per-model searches), so the trail is reproducible run to

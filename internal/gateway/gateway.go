@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -138,7 +139,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Logger, when non-nil, mirrors control-plane audit events as
 	// structured log lines. The data-plane hot path never logs.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// TraceCapacity bounds the sampled-trace ring readable at
 	// GET /v1/gateway/traces; 256 when zero, negative disables tracing.
 	TraceCapacity int

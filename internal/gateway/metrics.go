@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"log/slog"
 	"math"
 	"strconv"
 	"sync"
@@ -79,7 +80,7 @@ type metrics struct {
 
 // init registers the gateway's metric families on reg and resolves every
 // labeled child the hot path will touch.
-func (m *metrics) init(reg *obs.Registry, policy string, logger *obs.Logger, auditCap int) {
+func (m *metrics) init(reg *obs.Registry, policy string, logger *slog.Logger, auditCap int) {
 	m.reg = reg
 	m.trail = obs.NewTrail(auditCap, logger)
 

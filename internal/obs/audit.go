@@ -1,6 +1,10 @@
 package obs
 
-import "sync"
+import (
+	"context"
+	"log/slog"
+	"sync"
+)
 
 // EventKind names a class of control-plane decision, e.g. "shift_detected"
 // or "reconfigure".
@@ -28,15 +32,18 @@ type Trail struct {
 	seq     int
 	dropped int
 	events  []Event
-	logger  *Logger // optional mirror of every event as a log line
+	logger  *slog.Logger // mirror of every event as a log line
 }
 
 // NewTrail returns a trail retaining at most max events (64 when max <= 0).
 // When logger is non-nil every recorded event is mirrored to it at
-// LevelInfo.
-func NewTrail(max int, logger *Logger) *Trail {
+// slog.LevelInfo.
+func NewTrail(max int, logger *slog.Logger) *Trail {
 	if max <= 0 {
 		max = 64
+	}
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
 	}
 	return &Trail{max: max, logger: logger}
 }
@@ -55,13 +62,15 @@ func (t *Trail) Record(atMs float64, kind EventKind, msg string, fields ...Field
 		t.dropped++
 	}
 	t.events = append(t.events, ev)
-	logger := t.logger
 	t.mu.Unlock()
-	if logger != nil {
-		lf := make([]Field, 0, len(fields)+2)
-		lf = append(lf, F("at_ms", atMs), F("kind", string(kind)))
-		lf = append(lf, fields...)
-		logger.Info(msg, lf...)
+	ctx := context.Background()
+	if t.logger.Enabled(ctx, slog.LevelInfo) {
+		attrs := make([]slog.Attr, 0, len(fields)+2)
+		attrs = append(attrs, slog.Float64("at_ms", atMs), slog.String("kind", string(kind)))
+		for _, f := range fields {
+			attrs = append(attrs, slog.String(f.Key, f.Value))
+		}
+		t.logger.LogAttrs(ctx, slog.LevelInfo, msg, attrs...)
 	}
 	return ev.Seq
 }

@@ -3,61 +3,37 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
+	"log/slog"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Level is a log severity. Records below the logger's level are dropped.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel parses "debug", "info", "warn", or "error".
-func ParseLevel(s string) (Level, error) {
+// ParseLevel parses "debug", "info", "warn" (or "warning"), or "error";
+// the empty string means info.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info", "":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	}
-	return LevelInfo, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
+	return slog.LevelInfo, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
 }
 
-// Format selects the line encoding of a Logger.
+// Format selects the slog handler NewLogger builds.
 type Format int
 
 const (
-	FormatText Format = iota // level=info msg="..." key=value
-	FormatJSON               // {"level":"info","msg":"...","key":"value"}
+	FormatText Format = iota // slog.TextHandler: time=... level=INFO msg="..." key=value
+	FormatJSON               // slog.JSONHandler: {"time":"...","level":"INFO","msg":"...","key":"value"}
 )
 
-// ParseFormat parses "text" or "json".
+// ParseFormat parses "text" or "json"; the empty string means text.
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(s) {
 	case "text", "":
@@ -68,9 +44,8 @@ func ParseFormat(s string) (Format, error) {
 	return FormatText, fmt.Errorf("unknown log format %q (want text|json)", s)
 }
 
-// Field is one key/value pair attached to a log line or audit event. Values
-// are pre-rendered to strings so emitting a field never allocates through
-// reflection at write time.
+// Field is one key/value pair attached to an audit event. Values are
+// pre-rendered to strings so events serialize to a stable wire shape.
 type Field struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
@@ -106,149 +81,41 @@ func renderValue(v any) string {
 	}
 }
 
-// Logger writes leveled, structured lines. The zero value and the nil
-// pointer are both valid no-op loggers, so call sites never need nil checks.
-type Logger struct {
-	level atomic.Int32
-	fmt   Format
-	base  []Field // fields attached by With, emitted on every line
-
-	mu   sync.Mutex
-	w    io.Writer
-	emit func(line string) // overrides w when set (printf shim)
-
-	now func() time.Time // test hook; time.Now when nil
+// NewLogger returns a structured logger writing to w at the given level,
+// encoding lines with slog's text or JSON handler.
+func NewLogger(w io.Writer, level slog.Level, format Format) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level}
+	if format == FormatJSON {
+		return slog.New(slog.NewJSONHandler(w, opts))
+	}
+	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// NewLogger returns a logger writing to w at the given level and format.
-func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	l := &Logger{fmt: format, w: w}
-	l.level.Store(int32(level))
-	return l
+// NewFlagLogger builds a process logger on w from -log-level and
+// -log-format flag values, rejecting values ParseLevel or ParseFormat reject.
+func NewFlagLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	lv, err := ParseLevel(level)
+	if err != nil {
+		return nil, err
+	}
+	fm, err := ParseFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	return NewLogger(w, lv, fm), nil
 }
-
-// NewStderrLogger returns a text logger on os.Stderr at LevelInfo.
-func NewStderrLogger() *Logger { return NewLogger(os.Stderr, LevelInfo, FormatText) }
 
 // NewPrintfLogger adapts a printf-style sink (such as testing.T.Logf or the
-// deprecated server Config.Logf) into a Logger. Lines are rendered in text
-// format and handed to f without a trailing newline.
-func NewPrintfLogger(f func(format string, args ...any), level Level) *Logger {
-	l := &Logger{fmt: FormatText, emit: func(line string) { f("%s", line) }}
-	l.level.Store(int32(level))
-	return l
+// deprecated server Config.Logf) into a text logger. Each line is handed to
+// f without its trailing newline.
+func NewPrintfLogger(f func(format string, args ...any), level slog.Level) *slog.Logger {
+	return NewLogger(printfWriter(f), level, FormatText)
 }
 
-// SetLevel changes the logger's level at runtime.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.level.Store(int32(level))
-	}
-}
+// printfWriter receives exactly one Write per record from slog's handlers.
+type printfWriter func(format string, args ...any)
 
-// Enabled reports whether records at the given level would be emitted.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && (l.w != nil || l.emit != nil) && level >= Level(l.level.Load())
-}
-
-// With returns a logger that attaches the given fields to every line.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil || len(fields) == 0 {
-		return l
-	}
-	nl := &Logger{fmt: l.fmt, w: l.w, emit: l.emit, now: l.now}
-	nl.level.Store(l.level.Load())
-	nl.base = append(append([]Field(nil), l.base...), fields...)
-	return nl
-}
-
-func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
-func (l *Logger) Info(msg string, fields ...Field)  { l.log(LevelInfo, msg, fields) }
-func (l *Logger) Warn(msg string, fields ...Field)  { l.log(LevelWarn, msg, fields) }
-func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
-
-// Printf logs a formatted line at LevelInfo. It exists to back deprecated
-// printf-style call sites; new code should use the structured methods.
-func (l *Logger) Printf(format string, args ...any) {
-	if !l.Enabled(LevelInfo) {
-		return
-	}
-	l.log(LevelInfo, strings.TrimSuffix(fmt.Sprintf(format, args...), "\n"), nil)
-}
-
-func (l *Logger) log(level Level, msg string, fields []Field) {
-	if !l.Enabled(level) {
-		return
-	}
-	ts := time.Now
-	if l.now != nil {
-		ts = l.now
-	}
-	var b strings.Builder
-	b.Grow(96 + 24*(len(l.base)+len(fields)))
-	stamp := ts().UTC().Format("2006-01-02T15:04:05.000Z")
-	if l.fmt == FormatJSON {
-		b.WriteString(`{"ts":"`)
-		b.WriteString(stamp)
-		b.WriteString(`","level":"`)
-		b.WriteString(level.String())
-		b.WriteString(`","msg":`)
-		b.WriteString(strconv.Quote(msg))
-		for _, f := range l.base {
-			writeJSONField(&b, f)
-		}
-		for _, f := range fields {
-			writeJSONField(&b, f)
-		}
-		b.WriteString("}")
-	} else {
-		b.WriteString("ts=")
-		b.WriteString(stamp)
-		b.WriteString(" level=")
-		b.WriteString(level.String())
-		b.WriteString(" msg=")
-		b.WriteString(quoteIfNeeded(msg))
-		for _, f := range l.base {
-			writeTextField(&b, f)
-		}
-		for _, f := range fields {
-			writeTextField(&b, f)
-		}
-	}
-	line := b.String()
-	if l.emit != nil {
-		l.emit(line)
-		return
-	}
-	l.mu.Lock()
-	io.WriteString(l.w, line)
-	io.WriteString(l.w, "\n")
-	l.mu.Unlock()
-}
-
-func writeJSONField(b *strings.Builder, f Field) {
-	b.WriteString(",")
-	b.WriteString(strconv.Quote(f.Key))
-	b.WriteString(":")
-	b.WriteString(strconv.Quote(f.Value))
-}
-
-func writeTextField(b *strings.Builder, f Field) {
-	b.WriteString(" ")
-	b.WriteString(f.Key)
-	b.WriteString("=")
-	b.WriteString(quoteIfNeeded(f.Value))
-}
-
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return `""`
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ' ' || c == '"' || c == '=' || c == '\\' || c < 0x20 {
-			return strconv.Quote(s)
-		}
-	}
-	return s
+func (f printfWriter) Write(p []byte) (int, error) {
+	f("%s", strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -1,116 +1,93 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
-func fixedClock() time.Time {
-	return time.Date(2026, 8, 8, 12, 0, 0, 123e6, time.UTC)
-}
-
-func TestLoggerText(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LevelInfo, FormatText)
-	l.now = fixedClock
-	l.Debug("dropped")
-	l.Info("pool resized", F("from", 2), F("to", 4), F("reason", "load shift"))
-	want := `ts=2026-08-08T12:00:00.123Z level=info msg="pool resized" from=2 to=4 reason="load shift"` + "\n"
-	if sb.String() != want {
-		t.Errorf("got %q\nwant %q", sb.String(), want)
-	}
-}
-
+// TestLoggerJSON checks the surviving constructor: a JSON logger at warn
+// drops info lines and writes one JSON object per line carrying msg and the
+// attributes.
 func TestLoggerJSON(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LevelDebug, FormatJSON)
-	l.now = fixedClock
-	l.With(F("component", "gateway")).Warn("queue full", F("depth", 128))
-	var rec map[string]string
-	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, sb.String())
+	l := NewLogger(&sb, slog.LevelWarn, FormatJSON)
+	l.Info("hidden")
+	l.With("component", "gateway").Warn("queue full", "depth", 128)
+	l.Error("shed", "tier", "batch")
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want 2 lines (info dropped), got %d:\n%s", len(lines), sb.String())
 	}
-	for k, want := range map[string]string{
-		"level": "warn", "msg": "queue full", "component": "gateway", "depth": "128",
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("not valid JSON: %v\n%s", err, lines[0])
+	}
+	for k, want := range map[string]any{
+		"level": "WARN", "msg": "queue full", "component": "gateway", "depth": 128.0,
 	} {
 		if rec[k] != want {
-			t.Errorf("rec[%q] = %q, want %q", k, rec[k], want)
+			t.Errorf("rec[%q] = %v, want %v", k, rec[k], want)
 		}
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil || rec["msg"] != "shed" || rec["tier"] != "batch" {
+		t.Errorf("second line %q: rec=%v err=%v", lines[1], rec, err)
 	}
 }
 
+// TestLoggerLevelsAndNil checks level filtering on a text logger and that a
+// nil logger handed to NewTrail is tolerated rather than dereferenced.
 func TestLoggerLevelsAndNil(t *testing.T) {
-	var l *Logger
-	l.Info("no panic on nil")
-	l.With(F("a", 1)).Error("still fine")
-	if l.Enabled(LevelError) {
-		t.Error("nil logger should not be enabled")
-	}
 	var sb strings.Builder
-	ll := NewLogger(&sb, LevelWarn, FormatText)
-	ll.Info("hidden")
-	ll.Warn("shown")
-	if strings.Contains(sb.String(), "hidden") || !strings.Contains(sb.String(), "shown") {
-		t.Errorf("level filtering broken: %q", sb.String())
+	l := NewLogger(&sb, slog.LevelWarn, FormatText)
+	l.Debug("hidden-debug")
+	l.Info("hidden-info")
+	l.Warn("shown-warn")
+	l.Error("shown-error")
+	out := sb.String()
+	if strings.Contains(out, "hidden") || !strings.Contains(out, "level=WARN msg=shown-warn") ||
+		!strings.Contains(out, "level=ERROR msg=shown-error") {
+		t.Errorf("level filtering broken: %q", out)
 	}
-	ll.SetLevel(LevelDebug)
-	ll.Debug("now visible")
-	if !strings.Contains(sb.String(), "now visible") {
-		t.Error("SetLevel not applied")
+	ctx := context.Background()
+	if l.Enabled(ctx, slog.LevelInfo) || !l.Enabled(ctx, slog.LevelWarn) {
+		t.Error("Enabled disagrees with the configured level")
+	}
+	silent := NewTrail(3, nil)
+	silent.Record(1, "tick", "no logger")
+	if evs := silent.Events(); len(evs) != 1 || evs[0].Message != "no logger" {
+		t.Errorf("trail with a nil logger recorded %+v", evs)
 	}
 }
 
 func TestLoggerPrintfShim(t *testing.T) {
 	var lines []string
 	l := NewPrintfLogger(func(format string, args ...any) {
-		lines = append(lines, format)
-		_ = args
-	}, LevelInfo)
-	l.Printf("served %d requests\n", 7)
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}, slog.LevelInfo)
+	l.Debug("hidden")
+	l.Info("served requests", "n", 7)
 	if len(lines) != 1 {
-		t.Fatalf("want 1 line, got %d", len(lines))
+		t.Fatalf("want 1 line, got %d: %q", len(lines), lines)
+	}
+	if !strings.Contains(lines[0], `msg="served requests" n=7`) || strings.HasSuffix(lines[0], "\n") {
+		t.Errorf("line = %q", lines[0])
 	}
 }
-
-func TestLoggerConcurrent(t *testing.T) {
-	var mu sync.Mutex
-	var sb strings.Builder
-	safe := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return sb.Write(p)
-	})
-	l := NewLogger(safe, LevelInfo, FormatText)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				l.Info("tick", F("worker", w), F("i", i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	got := strings.Count(sb.String(), "\n")
-	if got != 1600 {
-		t.Errorf("want 1600 lines, got %d", got)
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestParseLevelFormat(t *testing.T) {
-	if lv, err := ParseLevel("WARN"); err != nil || lv != LevelWarn {
-		t.Errorf("ParseLevel(WARN) = %v, %v", lv, err)
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "": slog.LevelInfo, "info": slog.LevelInfo,
+		"WARN": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError,
+	} {
+		if lv, err := ParseLevel(in); err != nil || lv != want {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, lv, err, want)
+		}
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Error("ParseLevel(loud) should fail")
@@ -121,11 +98,17 @@ func TestParseLevelFormat(t *testing.T) {
 	if _, err := ParseFormat("xml"); err == nil {
 		t.Error("ParseFormat(xml) should fail")
 	}
+	if _, err := NewFlagLogger(io.Discard, "info", "xml"); err == nil {
+		t.Error("NewFlagLogger should reject a bad format")
+	}
+	if _, err := NewFlagLogger(io.Discard, "loud", "json"); err == nil {
+		t.Error("NewFlagLogger should reject a bad level")
+	}
 }
 
 func TestTrail(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LevelInfo, FormatText)
+	l := NewLogger(&sb, slog.LevelInfo, FormatText)
 	tr := NewTrail(3, l)
 	for i := 0; i < 5; i++ {
 		tr.Record(float64(i*100), "tick", "tick happened", F("i", i))
@@ -140,8 +123,11 @@ func TestTrail(t *testing.T) {
 	if tr.Dropped() != 2 {
 		t.Errorf("dropped = %d, want 2", tr.Dropped())
 	}
-	if got := strings.Count(sb.String(), "tick happened"); got != 5 {
-		t.Errorf("mirrored lines = %d, want 5", got)
+	if got := strings.Count(sb.String(), `msg="tick happened" at_ms=`); got != 5 {
+		t.Errorf("mirrored lines = %d, want 5:\n%s", got, sb.String())
+	}
+	if !strings.Contains(sb.String(), "at_ms=400 kind=tick i=4") {
+		t.Errorf("mirror attributes missing:\n%s", sb.String())
 	}
 	var nilTrail *Trail
 	nilTrail.Record(0, "x", "ignored")

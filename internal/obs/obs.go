@@ -6,7 +6,8 @@
 //   - a metrics registry (Counter, Gauge, Histogram, and their labeled Vec
 //     variants) whose fast-path operations are single atomic instructions
 //     and whose contents render in Prometheus text exposition format;
-//   - a structured, leveled Logger emitting key=value or JSON lines;
+//   - log/slog loggers (NewLogger) emitting key=value or JSON lines, chosen
+//     by the -log-level/-log-format flags;
 //   - audit Trails and request Traces: bounded in-memory rings of typed
 //     control-plane events and sampled per-request span timelines.
 //

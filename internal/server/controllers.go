@@ -3,11 +3,11 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 
 	"ribbon"
 	"ribbon/api"
-	"ribbon/internal/obs"
 	"ribbon/internal/wire"
 	"ribbon/internal/workload"
 )
@@ -34,7 +34,7 @@ type ctl struct {
 type controllerStore struct {
 	*store[ctl, api.Controller]
 	sm     *serverMetrics
-	logger *obs.Logger
+	logger *slog.Logger
 }
 
 func newControllerStore(workers, queueDepth, retain int) *controllerStore {

@@ -3,11 +3,11 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 
 	"ribbon"
 	"ribbon/api"
-	"ribbon/internal/obs"
 	"ribbon/internal/wire"
 )
 
@@ -28,7 +28,7 @@ type flt struct {
 type fleetStore struct {
 	*store[flt, api.Fleet]
 	sm     *serverMetrics
-	logger *obs.Logger
+	logger *slog.Logger
 }
 
 func newFleetStore(workers, queueDepth, retain int) *fleetStore {

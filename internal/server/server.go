@@ -13,8 +13,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
+	"os"
 	"time"
 
 	"ribbon"
@@ -56,12 +58,13 @@ type Config struct {
 	// Logf receives diagnostics.
 	//
 	// Deprecated: set Logger instead. When only Logf is set it backs a
-	// shim logger, so existing callers keep working unchanged.
+	// text logger whose lines are handed to Logf, so existing callers keep
+	// working unchanged.
 	Logf func(format string, args ...any)
 	// Logger receives structured diagnostics and mirrors every
 	// control-plane audit event (controller and fleet decisions). When
 	// nil, one is derived from Logf, or a stderr text logger is used.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Registry collects the server's Prometheus metrics and backs
 	// GET /metrics; a private registry is created when nil. Share one
 	// registry to co-expose several subsystems on one endpoint.
@@ -121,13 +124,10 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Logger == nil {
 		if cfg.Logf != nil {
-			cfg.Logger = obs.NewPrintfLogger(cfg.Logf, obs.LevelInfo)
+			cfg.Logger = obs.NewPrintfLogger(cfg.Logf, slog.LevelInfo)
 		} else {
-			cfg.Logger = obs.NewStderrLogger()
+			cfg.Logger = obs.NewLogger(os.Stderr, slog.LevelInfo, obs.FormatText)
 		}
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = cfg.Logger.Printf
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -209,7 +209,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(v); err != nil {
-		s.cfg.Logf("server: encode: %v", err)
+		s.cfg.Logger.Warn("server: encode response", "err", err)
 	}
 }
 

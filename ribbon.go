@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 
 	"ribbon/internal/baselines"
 	"ribbon/internal/cloud"
@@ -112,10 +113,11 @@ type DispatchPolicy = dispatch.Policy
 // docs/observability.md.
 type DispatchObserver = dispatch.Observer
 
-// Logger is the structured leveled logger shared by the library's telemetry
-// surfaces (controller and fleet audit mirrors, the server, the gateway).
-// See internal/obs and docs/observability.md.
-type Logger = obs.Logger
+// Logger is the standard library's structured logger, shared by the
+// library's telemetry surfaces (controller and fleet audit mirrors, the
+// server, the gateway). A nil *Logger disables logging. See
+// docs/observability.md.
+type Logger = slog.Logger
 
 // AuditEvent is one recorded control-plane decision; controllers and fleets
 // publish their trails through Status snapshots.
@@ -123,16 +125,16 @@ type AuditEvent = obs.Event
 
 // Log levels and formats for NewLogger.
 const (
-	LogDebug = obs.LevelDebug
-	LogInfo  = obs.LevelInfo
-	LogWarn  = obs.LevelWarn
-	LogError = obs.LevelError
+	LogDebug = slog.LevelDebug
+	LogInfo  = slog.LevelInfo
+	LogWarn  = slog.LevelWarn
+	LogError = slog.LevelError
 
 	LogText = obs.FormatText
 	LogJSON = obs.FormatJSON
 )
 
-// NewLogger builds a structured leveled logger writing to w; see obs.NewLogger.
+// NewLogger builds a slog text or JSON logger writing to w at the given level.
 var NewLogger = obs.NewLogger
 
 // The built-in dispatch policies.
