@@ -341,17 +341,7 @@ func (sp Spec) New(pool []cloud.InstanceType, rng *stats.RNG) (Policy, error) {
 	if sp.Factory != nil {
 		return sp.Factory(pool, rng), nil
 	}
-	switch sp.Kind {
-	case "", KindFCFS:
-		return fcfsPolicy{}, nil
-	case KindLeastLoaded:
-		return leastLoadedPolicy{}, nil
-	case KindCostRandom:
-		return newCostRandomPolicy(pool, rng), nil
-	case KindCriticality:
-		return criticalityPolicy{shedAt: sp.ShedAt()}, nil
-	}
-	panic("dispatch: unreachable: validated spec with unknown kind")
+	return newBuiltin(sp, rng), nil
 }
 
 // MustNew is New but panics on an invalid spec; for internal call sites that

@@ -32,7 +32,7 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindLeastLoaded},
 		{Kind: KindCostRandom},
 		{Kind: KindCriticality, ShedQueueLength: 4},
-		{Factory: func([]cloud.InstanceType, *stats.RNG) Policy { return fcfsPolicy{} }},
+		{Factory: func([]cloud.InstanceType, *stats.RNG) Policy { return nil }},
 	} {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v", sp, err)
@@ -56,7 +56,7 @@ func TestSpecName(t *testing.T) {
 	if n := (Spec{Kind: KindCriticality}).Name(); n != "criticality" {
 		t.Errorf("name = %q", n)
 	}
-	sp := Spec{Factory: func([]cloud.InstanceType, *stats.RNG) Policy { return fcfsPolicy{} }}
+	sp := Spec{Factory: func([]cloud.InstanceType, *stats.RNG) Policy { return nil }}
 	if n := sp.Name(); n != "custom" {
 		t.Errorf("factory name = %q", n)
 	}

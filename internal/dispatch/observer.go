@@ -1,60 +1,16 @@
 package dispatch
 
-import (
-	"time"
-
-	"ribbon/internal/workload"
-)
-
-// Observer receives per-decision routing telemetry from an instrumented
-// Policy. Implementations must be safe for concurrent use — parallel
-// searches run evaluations (and therefore policies) on many goroutines.
+// Observer receives per-decision routing telemetry from the simulator
+// (serving.SimOptions.Observer). Implementations must be safe for concurrent
+// use — parallel searches run evaluations (and therefore policies) on many
+// goroutines.
 //
-// Observation is strictly passive: an instrumented policy makes exactly the
-// decisions the bare policy would, so evaluation results are bit-identical
-// with or without an Observer attached.
+// Observation is strictly passive: the simulator makes exactly the decisions
+// it would make without an Observer, so evaluation results are bit-identical
+// with or without one attached.
 type Observer interface {
 	// ObservePick reports one routing decision: the policy's name, the
 	// wall-clock seconds spent deciding, the query's criticality rank
 	// (0 = sheddable .. 2 = critical), and whether the arrival was shed.
 	ObservePick(policy string, seconds float64, rank int, shed bool)
-}
-
-// Instrument wraps p so every Pick reports to o. A nil Observer returns p
-// unchanged, so call sites need no conditional. The wrapper preserves the
-// optional Lifecycle extension: a lifecycle-aware policy stays
-// lifecycle-aware through instrumentation.
-func Instrument(p Policy, o Observer) Policy {
-	if o == nil || p == nil {
-		return p
-	}
-	ip := instrumented{p: p, o: o}
-	if _, ok := p.(Lifecycle); ok {
-		return instrumentedLifecycle{ip}
-	}
-	return ip
-}
-
-type instrumented struct {
-	p Policy
-	o Observer
-}
-
-func (ip instrumented) Name() string { return ip.p.Name() }
-
-func (ip instrumented) Pick(idx int, q workload.Query, s *State) Decision {
-	t0 := time.Now()
-	d := ip.p.Pick(idx, q, s)
-	ip.o.ObservePick(ip.p.Name(), time.Since(t0).Seconds(), q.Class.Rank(), d.Action == ActShed)
-	return d
-}
-
-func (ip instrumented) Next(inst int, s *State) (int, bool) { return ip.p.Next(inst, s) }
-
-type instrumentedLifecycle struct{ instrumented }
-
-func (il instrumentedLifecycle) RunStart(s *State) { il.p.(Lifecycle).RunStart(s) }
-
-func (il instrumentedLifecycle) QueryDone(idx, inst int, s *State) {
-	il.p.(Lifecycle).QueryDone(idx, inst, s)
 }

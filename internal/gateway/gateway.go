@@ -162,12 +162,11 @@ type Gateway struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	spec    serving.PoolSpec
-	backend Backend
-	kind    dispatch.Kind
-	shedAt  int
-	qosMs   float64
-	seed    uint64
+	spec     serving.PoolSpec
+	backend  Backend
+	dispatch dispatch.Spec
+	qosMs    float64
+	seed     uint64
 
 	timeScale      float64
 	queueDepth     int
@@ -287,8 +286,7 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 		cancel:         cancel,
 		spec:           opts.Spec,
 		backend:        opts.Backend,
-		kind:           dispatch.Kind(opts.Dispatch.Name()),
-		shedAt:         opts.Dispatch.ShedAt(),
+		dispatch:       opts.Dispatch,
 		qosMs:          opts.Spec.Model.QoSLatencyMs,
 		seed:           opts.Seed,
 		timeScale:      timeScale,
@@ -320,7 +318,7 @@ func New(ctx context.Context, opts Options) (*Gateway, error) {
 	if auditCap == 0 {
 		auditCap = 512
 	}
-	g.m.init(reg, string(g.kind), opts.Logger, auditCap)
+	g.m.init(reg, opts.Dispatch.Name(), opts.Logger, auditCap)
 	if opts.TraceCapacity >= 0 {
 		g.traces = obs.NewTraceRing(opts.TraceCapacity, opts.TraceSampleEvery)
 	}
@@ -538,14 +536,6 @@ func (g *Gateway) grow(prev *pool, cfg serving.Config, warmupMs float64) *pool {
 			go g.worker(inst)
 			p.instances = append(p.instances, inst)
 		}
-	}
-	p.weights = make([]float64, len(p.instances))
-	for i, inst := range p.instances {
-		w := 1.0
-		if inst.typ.PricePerHour > 0 {
-			w = 1 / inst.typ.PricePerHour
-		}
-		p.weights[i] = w
 	}
 	return p
 }

@@ -236,8 +236,8 @@ func TestGatewayNewDispatchSpec(t *testing.T) {
 				t.Fatalf("New: %v", err)
 			}
 			defer g.Close()
-			if g.kind != tc.wantKind || g.shedAt != tc.wantShedAt {
-				t.Fatalf("kind %q shedAt %d, want %q %d", g.kind, g.shedAt, tc.wantKind, tc.wantShedAt)
+			if kind := dispatch.Kind(g.dispatch.Name()); kind != tc.wantKind || g.dispatch.ShedAt() != tc.wantShedAt {
+				t.Fatalf("kind %q shedAt %d, want %q %d", kind, g.dispatch.ShedAt(), tc.wantKind, tc.wantShedAt)
 			}
 		})
 	}

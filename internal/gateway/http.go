@@ -154,7 +154,7 @@ func (g *Gateway) MetricsDTO() api.GatewayMetrics {
 	s := g.Metrics()
 	out := api.GatewayMetrics{
 		Model:           g.spec.Model.Name,
-		Policy:          string(g.kind),
+		Policy:          g.dispatch.Name(),
 		Config:          g.Config(),
 		Accepted:        s.Accepted,
 		Completed:       s.Completed,

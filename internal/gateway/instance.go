@@ -359,7 +359,7 @@ func (g *Gateway) failRequest(r *request, inst *instance, reqErr error, partial 
 		if r.rank > 0 && r.attempts < requeueLimit {
 			r.attempts++
 			g.m.requeued.Inc()
-			if p := g.pool.Load(); p != nil && g.place(p, r) {
+			if g.reroute(r) {
 				return
 			}
 			// No queue anywhere: fall through to a loud failure.

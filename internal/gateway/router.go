@@ -20,17 +20,14 @@ type pool struct {
 	// instances is in dispatch preference order: the spec's type order,
 	// then instance age within a type.
 	instances []*instance
-	// weights is each instance's inverse hourly price, for the
-	// cost-random policy.
-	weights []float64
 	// config is the instance-count vector this snapshot realizes.
 	config serving.Config
 }
 
-// route admits one request into the data plane: pick an instance under the
-// configured dispatch policy, enqueue it on the request's criticality rank,
-// fall back to any instance with queue space, shed or reject when the policy
-// says so. It is safe for arbitrary concurrent callers.
+// route admits one request into the data plane: pick an instance with the
+// dispatch rules, shed when the policy says so, enqueue on the request's
+// criticality rank, and fall back to any instance with queue space. It is
+// safe for arbitrary concurrent callers.
 func (g *Gateway) route(r *request) Outcome {
 	g.m.recordRequest(r.rank)
 	p := g.pool.Load()
@@ -38,30 +35,63 @@ func (g *Gateway) route(r *request) Outcome {
 		g.m.recordReject(r.rank)
 		return OutcomeRejected
 	}
-
-	// The criticality policy sheds Sheddable arrivals under queue pressure
-	// — same rule and same threshold semantics as dispatch.KindCriticality
-	// in the simulator: total queued anywhere in the pool.
-	if g.kind == dispatch.KindCriticality && r.rank == 0 &&
-		g.totalQueued.Load() >= int64(g.shedAt) {
+	inst, idle := g.pick(p)
+	// The shed test runs only here, at admission: requeued and rescued
+	// requests were already admitted.
+	if !idle && g.dispatch.Sheds(r.rank, int(g.totalQueued.Load())) {
 		g.m.recordShed(r.rank)
 		return OutcomeShed
 	}
-
-	if g.place(p, r) {
+	if g.place(p, inst, r) {
 		return OutcomeQueued
 	}
 	g.m.recordReject(r.rank)
 	return OutcomeRejected
 }
 
-// place puts r on the policy-preferred instance, falling back to the first
-// instance with queue space in preference order. False when every queue is
-// full.
-func (g *Gateway) place(p *pool, r *request) bool {
+// pick chooses an instance from the snapshot with the dispatch package's
+// placement rules: the idle instance the policy starts an arrival on, else
+// the least-loaded queue, since the live plane has no shared queue to park
+// in. idle reports which; nil for an empty pool.
+func (g *Gateway) pick(p *pool) (inst *instance, idle bool) {
 	t0 := time.Now()
-	inst := g.pick(p, r)
+	n := len(p.instances)
+	load := func(i int) int { return int(p.instances[i].load()) }
+	weight := func(i int) float64 { return dispatch.Weight(p.instances[i].typ.PricePerHour) }
+	i := g.dispatch.PickIdle(n, load, weight, g.draw)
+	idle = i >= 0
+	if !idle {
+		i = dispatch.LeastLoaded(n, load)
+	}
 	g.m.pickSeconds.Observe(time.Since(t0).Seconds())
+	if i < 0 {
+		return nil, false
+	}
+	return p.instances[i], idle
+}
+
+// draw is one uniform sample in [0, 1) from a leased router RNG.
+func (g *Gateway) draw() float64 {
+	rng := g.rngs.get(g.seed, "router")
+	x := rng.Float64()
+	g.rngs.put(rng)
+	return x
+}
+
+// reroute re-places an admitted request on the live pool, for the rescue
+// and requeue paths; it never sheds. False when every queue is full.
+func (g *Gateway) reroute(r *request) bool {
+	p := g.pool.Load()
+	if p == nil {
+		return false
+	}
+	inst, _ := g.pick(p)
+	return g.place(p, inst, r)
+}
+
+// place puts r on inst, falling back to the first instance with queue space
+// in preference order. False when every queue is full.
+func (g *Gateway) place(p *pool, inst *instance, r *request) bool {
 	if inst != nil && g.enqueue(inst, r) {
 		return true
 	}
@@ -74,78 +104,6 @@ func (g *Gateway) place(p *pool, r *request) bool {
 		}
 	}
 	return false
-}
-
-// pick chooses the policy-preferred instance from the snapshot. A nil return
-// means the policy abstained and route's fallback scan decides.
-func (g *Gateway) pick(p *pool, r *request) *instance {
-	switch g.kind {
-	case dispatch.KindLeastLoaded:
-		return pickLeastLoaded(p)
-	case dispatch.KindCostRandom:
-		if inst := g.pickCostRandom(p); inst != nil {
-			return inst
-		}
-		return pickLeastLoaded(p)
-	default:
-		// KindFCFS, and KindCriticality's placement half: first idle
-		// instance in preference order; under full load fall back to the
-		// least-loaded queue rather than the shared-FIFO head the
-		// simulator uses (a live plane has no global queue to park in).
-		for _, inst := range p.instances {
-			if inst.load() == 0 {
-				return inst
-			}
-		}
-		return pickLeastLoaded(p)
-	}
-}
-
-// pickLeastLoaded is join-shortest-queue over depth+inflight, preference
-// order breaking ties.
-func pickLeastLoaded(p *pool) *instance {
-	var best *instance
-	bestLoad := int64(0)
-	for _, inst := range p.instances {
-		l := inst.load()
-		if best == nil || l < bestLoad {
-			best, bestLoad = inst, l
-		}
-	}
-	return best
-}
-
-// pickCostRandom draws among idle instances with probability proportional to
-// inverse price; nil when nothing is idle.
-func (g *Gateway) pickCostRandom(p *pool) *instance {
-	idle := 0.0
-	for i, inst := range p.instances {
-		if inst.load() == 0 {
-			idle += p.weights[i]
-		}
-	}
-	if idle == 0 {
-		return nil
-	}
-	rng := g.rngs.get(g.seed, "router")
-	x := rng.Float64() * idle
-	g.rngs.put(rng)
-	for i, inst := range p.instances {
-		if inst.load() != 0 {
-			continue
-		}
-		x -= p.weights[i]
-		if x <= 0 {
-			return inst
-		}
-	}
-	// Floating-point slack: last idle instance.
-	for i := len(p.instances) - 1; i >= 0; i-- {
-		if p.instances[i].load() == 0 {
-			return p.instances[i]
-		}
-	}
-	return nil
 }
 
 // enqueue places r on inst's rank queue, reporting false when the queue is
@@ -187,7 +145,7 @@ func (g *Gateway) rescue(inst *instance) {
 		if r == nil {
 			return
 		}
-		if p := g.pool.Load(); p != nil && g.place(p, r) {
+		if g.reroute(r) {
 			continue
 		}
 		g.m.failed.Inc()

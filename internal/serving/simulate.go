@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"ribbon/internal/chaos"
 	"ribbon/internal/cloud"
@@ -121,8 +122,8 @@ type SimOptions struct {
 	// NewTraceEvaluator (the trace carries its own classes).
 	Mix workload.ClassMix
 	// Observer, when non-nil, receives per-decision routing telemetry
-	// from every evaluation (see dispatch.Instrument). Purely passive:
-	// results are bit-identical with or without it.
+	// from every evaluation: Evaluate times each Pick and reports it.
+	// Purely passive: results are bit-identical with or without it.
 	Observer dispatch.Observer
 	// Churn, when non-empty, replays a capacity-event schedule against the
 	// deployment: revoked/failed instances stop taking work at their
@@ -349,9 +350,9 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	// policies never perturb the service-time noise.
 	key := deploymentKey(spec, cfg)
 	noise := stats.Derive(e.opts.Seed, "serving", "noise", spec.Model.Name, key)
-	pol := dispatch.Instrument(e.opts.Dispatch.MustNew(types,
-		stats.Derive(e.opts.Seed, "dispatch", e.opts.Dispatch.Name(), spec.Model.Name, key)),
-		e.opts.Observer)
+	pol := e.opts.Dispatch.MustNew(types,
+		stats.Derive(e.opts.Seed, "dispatch", e.opts.Dispatch.Name(), spec.Model.Name, key))
+	observer := e.opts.Observer
 	lc, hasLC := pol.(dispatch.Lifecycle)
 	pool := sc.state
 	pool.Reset(types)
@@ -474,7 +475,14 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 			if at := queries[idx].ArrivalMs; heap.Len() == 0 || at <= heap.MinTime() {
 				arr++
 				now = at
+				var t0 time.Time
+				if observer != nil {
+					t0 = time.Now()
+				}
 				d := pol.Pick(idx, queries[idx], pool)
+				if observer != nil {
+					observer.ObservePick(pol.Name(), time.Since(t0).Seconds(), queries[idx].Class.Rank(), d.Action == dispatch.ActShed)
+				}
 				switch d.Action {
 				case dispatch.ActAssign:
 					if pool.Busy(d.Instance) {
