@@ -40,7 +40,7 @@ type instanceParams struct {
 }
 
 // calibration holds the per-family parameters. Families absent from this
-// table cannot be scored; Service panics on them so that a silently wrong
+// table cannot be scored; NewService panics on them so that a silently wrong
 // zero latency can never leak into an experiment.
 var calibration = map[string]instanceParams{
 	"t3":   {parallelWidth: 16, computeSpeed: 0.90, memSpeed: 0.85, fixedMs: 0.40},
@@ -62,12 +62,22 @@ func params(inst cloud.InstanceType) instanceParams {
 	return p
 }
 
-// ServiceMs returns the deterministic (noise-free) service latency in
-// milliseconds for one query of the given batch size. It panics if batch < 1.
-func ServiceMs(m models.Profile, inst cloud.InstanceType, batch int) float64 {
-	if batch < 1 {
-		panic("perf: batch must be >= 1")
-	}
+// Service is the latency model of one model on one instance type, resolved
+// once: the calibration lookup and the accelerator adjustments are done, so
+// scoring a query is arithmetic only. The simulator resolves one per
+// deployed instance per evaluation instead of one per query.
+type Service struct {
+	fixedMs        float64
+	parallelWidth  float64
+	waveMs         float64
+	computeSpeed   float64
+	memMsPerSample float64
+	memSpeed       float64
+}
+
+// NewService resolves m's latency model on inst. It panics on a family
+// without calibration.
+func NewService(m models.Profile, inst cloud.InstanceType) Service {
 	p := params(inst)
 	cs := p.computeSpeed
 	ms := p.memSpeed
@@ -75,12 +85,41 @@ func ServiceMs(m models.Profile, inst cloud.InstanceType, batch int) float64 {
 		cs *= m.GPUComputeFactor
 		ms *= m.GPUMemFactor
 	}
-	waves := math.Ceil(float64(batch) / float64(p.parallelWidth))
-	return p.fixedMs + waves*m.WaveMs/cs + float64(batch)*m.MemMsPerSample/ms
+	return Service{
+		fixedMs:        p.fixedMs,
+		parallelWidth:  float64(p.parallelWidth),
+		waveMs:         m.WaveMs,
+		computeSpeed:   cs,
+		memMsPerSample: m.MemMsPerSample,
+		memSpeed:       ms,
+	}
+}
+
+// Ms returns the deterministic (noise-free) service latency in milliseconds
+// for one query of the given batch size. It panics if batch < 1.
+func (s Service) Ms(batch int) float64 {
+	if batch < 1 {
+		panic("perf: batch must be >= 1")
+	}
+	waves := math.Ceil(float64(batch) / s.parallelWidth)
+	return s.fixedMs + waves*s.waveMs/s.computeSpeed + float64(batch)*s.memMsPerSample/s.memSpeed
+}
+
+// NoisyMs returns Ms perturbed by multiplicative log-normal noise: exactly
+// one draw from r.
+func (s Service) NoisyMs(batch int, r *stats.RNG) float64 {
+	return s.Ms(batch) * r.LogNormal(-NoiseSigma*NoiseSigma/2, NoiseSigma)
+}
+
+// ServiceMs returns the deterministic (noise-free) service latency in
+// milliseconds for one query of the given batch size. It panics if
+// batch < 1 or the family has no calibration.
+func ServiceMs(m models.Profile, inst cloud.InstanceType, batch int) float64 {
+	return NewService(m, inst).Ms(batch)
 }
 
 // NoiseSigma is the scale of the multiplicative log-normal service-time
-// noise used by NoisyServiceMs. Real inference latency jitters with kernel
+// noise used by NoisyMs and NoisyServiceMs. Real inference latency jitters with kernel
 // scheduling, cache state, and co-location; 6% keeps per-query variation
 // realistic without washing out the tail structure the batch distribution
 // creates.
@@ -89,7 +128,7 @@ const NoiseSigma = 0.06
 // NoisyServiceMs returns ServiceMs perturbed by multiplicative log-normal
 // noise drawn from r.
 func NoisyServiceMs(m models.Profile, inst cloud.InstanceType, batch int, r *stats.RNG) float64 {
-	return ServiceMs(m, inst, batch) * r.LogNormal(-NoiseSigma*NoiseSigma/2, NoiseSigma)
+	return NewService(m, inst).NoisyMs(batch, r)
 }
 
 // ThroughputQPS returns the steady-state single-instance throughput

@@ -207,6 +207,60 @@ func TestThroughputAndCostEffConsistent(t *testing.T) {
 	}
 }
 
+// TestServiceMatchesFormula pins the one latency formula: a resolved
+// Service scores every batch of every model on every calibrated family with
+// the bits of ServiceMs and of the package doc's closed form, evaluated in
+// the order the simulator's golden results were recorded with.
+func TestServiceMatchesFormula(t *testing.T) {
+	for _, m := range models.Catalog() {
+		for _, inst := range cloud.Catalog() {
+			p := calibration[inst.Family]
+			cs, ms := p.computeSpeed, p.memSpeed
+			if inst.Class == cloud.Accelerator {
+				cs *= m.GPUComputeFactor
+				ms *= m.GPUMemFactor
+			}
+			svc := NewService(m, inst)
+			for b := 1; b <= m.Batch.MaxBatch; b++ {
+				waves := math.Ceil(float64(b) / float64(p.parallelWidth))
+				want := p.fixedMs + waves*m.WaveMs/cs + float64(b)*m.MemMsPerSample/ms
+				got := svc.Ms(b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s on %s, batch %d: Service.Ms = %v, formula %v", m.Name, inst.Family, b, got, want)
+				}
+				if l := ServiceMs(m, inst, b); math.Float64bits(l) != math.Float64bits(got) {
+					t.Fatalf("%s on %s, batch %d: ServiceMs = %v, Service.Ms = %v", m.Name, inst.Family, b, l, got)
+				}
+			}
+		}
+	}
+}
+
+// TestNoisyMsDrawsOnce checks that Service.NoisyMs and NoisyServiceMs each
+// consume exactly one log-normal draw and agree bit for bit, so the
+// simulator's noise stream is unchanged by resolving the model up front.
+func TestNoisyMsDrawsOnce(t *testing.T) {
+	for _, m := range models.Catalog() {
+		for _, inst := range cloud.Catalog() {
+			svc := NewService(m, inst)
+			seed := stats.DeriveSeed(5, m.Name, inst.Family)
+			a, b, ref := stats.NewRNG(seed, 1), stats.NewRNG(seed, 1), stats.NewRNG(seed, 1)
+			for batch := 1; batch <= m.Batch.MaxBatch; batch += 7 {
+				want := svc.Ms(batch) * ref.LogNormal(-NoiseSigma*NoiseSigma/2, NoiseSigma)
+				got := svc.NoisyMs(batch, a)
+				old := NoisyServiceMs(m, inst, batch, b)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(old) != math.Float64bits(want) {
+					t.Fatalf("%s on %s, batch %d: NoisyMs %v, NoisyServiceMs %v, one draw %v",
+						m.Name, inst.Family, batch, got, old, want)
+				}
+			}
+			if x, y, z := a.Uint64(), b.Uint64(), ref.Uint64(); x != z || y != z {
+				t.Fatalf("%s on %s: RNG states diverged after the draws", m.Name, inst.Family)
+			}
+		}
+	}
+}
+
 func TestNoisyServiceMsStatistics(t *testing.T) {
 	m := models.MustLookup("MT-WND")
 	inst := cloud.MustLookup("g4dn")

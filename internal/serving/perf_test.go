@@ -11,16 +11,24 @@ import (
 
 // The zero-allocation contract of the simulator hot path: once the
 // evaluator's arena has warmed up, Evaluate must stay far below the old
-// closure-per-event scheme (~24k allocs per 4000-query run). The bound
-// leaves headroom for the per-run RNG derivations and the Result clone.
+// closure-per-event scheme (~24k allocs per 4000-query run). A run makes 11:
+// the per-run RNG derivations, the deployment key and the Result clone. The
+// bound leaves no room for a per-evaluation buffer that belongs in the
+// arena, such as a latency-model slice or a selection scratch. Under the
+// race detector sync.Pool drops a random quarter of the arenas, each of
+// which a later run must rebuild, so there the bound stays at 64.
 func TestEvaluateAllocs(t *testing.T) {
 	spec := MustNewPoolSpec(models.MustLookup("MT-WND"), 0.99, "g4dn", "c5", "r5n")
 	ev := NewSimEvaluator(spec, SimOptions{Queries: 4000, Seed: 1})
 	cfg := Config{3, 1, 3}
 	ev.Evaluate(cfg) // warm the arena
 	allocs := testing.AllocsPerRun(5, func() { ev.Evaluate(cfg) })
-	if allocs > 64 {
-		t.Fatalf("Evaluate allocated %.0f times per run; the arena should keep it under 64", allocs)
+	limit := 16.0
+	if raceEnabled {
+		limit = 64
+	}
+	if allocs > limit {
+		t.Fatalf("Evaluate allocated %.0f times per run; the arena should keep it at most %.0f", allocs, limit)
 	}
 }
 

@@ -182,11 +182,11 @@ type SimEvaluator struct {
 	// guarantees. It reproduces the event-heap ordering of the old
 	// schedule-everything-up-front simulator for unsorted traces.
 	order []int32
-	// scratch pools per-evaluation buffers (latencies, shed flags, sort
-	// scratch, deployed types, dispatch state, completion heap). Evaluate
-	// runs hundreds of times per search — and concurrently under batched
-	// parallel search — so the arena is a sync.Pool rather than plain
-	// fields.
+	// scratch pools per-evaluation buffers (latencies, shed flags, deployed
+	// types and their latency models, dispatch state, completion heap).
+	// Evaluate runs hundreds of times per search — and concurrently under
+	// batched parallel search — so the arena is a sync.Pool rather than
+	// plain fields.
 	scratch sync.Pool
 }
 
@@ -194,10 +194,12 @@ type SimEvaluator struct {
 type evalScratch struct {
 	latencies []float64
 	shed      []bool
-	sorted    []float64
 	types     []cloud.InstanceType
-	state     *dispatch.State
-	heap      completionHeap
+	// services holds each deployed instance's latency model, resolved
+	// once per evaluation so serving a query is arithmetic only.
+	services []perf.Service
+	state    *dispatch.State
+	heap     completionHeap
 }
 
 // arrivalOrder returns the stable arrival-time ordering of the queries, or
@@ -295,6 +297,7 @@ func (e *SimEvaluator) getScratch(n int) *evalScratch {
 		sc.shed[i] = false
 	}
 	sc.types = sc.types[:0]
+	sc.services = sc.services[:0]
 	sc.heap.Reset()
 	return sc
 }
@@ -336,11 +339,16 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	defer e.scratch.Put(sc)
 
 	for i, t := range spec.Types {
+		if cfg[i] == 0 {
+			continue
+		}
+		svc := perf.NewService(spec.Model, t)
 		for k := 0; k < cfg[i]; k++ {
 			sc.types = append(sc.types, t)
+			sc.services = append(sc.services, svc)
 		}
 	}
-	types := sc.types
+	types, services := sc.types, sc.services
 
 	// The noise stream is keyed by the deployed (family, count) multiset,
 	// not the raw config vector, so a configuration evaluates identically
@@ -388,7 +396,7 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 
 	assign := func(inst, idx int) {
 		pool.SetBusy(inst, true)
-		svc := perf.NoisyServiceMs(spec.Model, types[inst], queries[idx].Batch, noise)
+		svc := services[inst].NoisyMs(queries[idx].Batch, noise)
 		if plan != nil {
 			if f := plan.slowFactor[inst]; f != 0 && now >= plan.slowFrom[inst] && now < plan.slowTo[inst] {
 				svc *= f
@@ -565,13 +573,6 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	res.Rsat = stats.FractionBelow(measured, spec.Model.QoSLatencyMs)
 	res.MeetsQoS = res.Rsat >= spec.QoSPercentile
 	res.MeanLatencyMs = stats.MeanOf(measured)
-	if cap(sc.sorted) < len(measured) {
-		sc.sorted = make([]float64, len(measured))
-	}
-	sorted := sc.sorted[:len(measured)]
-	copy(sorted, measured)
-	sort.Float64s(sorted)
-	res.TailLatencyMs = stats.PercentileSorted(sorted, spec.QoSPercentile)
 	res.MaxQueueLen = maxQueue
 	for i := warm; i < len(latencies); i++ {
 		if shed[i] {
@@ -591,6 +592,8 @@ func (e *SimEvaluator) Evaluate(cfg Config) Result {
 	if e.hasClasses {
 		res.Classes = classStats(queries[warm:], measured, shed[warm:], spec.Model.QoSLatencyMs)
 	}
+	// Last, because selecting the tail permutes the measured latencies.
+	res.TailLatencyMs = stats.PercentileInPlace(measured, spec.QoSPercentile)
 	return res
 }
 

@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -239,29 +243,147 @@ func TestPercentileEmptyAndClamp(t *testing.T) {
 	}
 }
 
+// nearestRankRef is the reference the selection must match: copy,
+// sort.Float64s, then the nearest rank of the clamped p.
+func nearestRankRef(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if p < 0 {
+		p = 0
+	}
+	if p > 1 {
+		p = 1
+	}
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
+
+// sameRankValue reports whether a selected order statistic has the
+// reference's bits. sort.Float64s orders -0 and +0 as equal, and all NaNs
+// as equal, so between those (and only those) any of the tied values is
+// the right answer.
+func sameRankValue(got, want float64) bool {
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return true
+	}
+	return cmp.Compare(got, want) == 0 && (got == 0 || math.IsNaN(got))
+}
+
+// sortedBits returns the bit patterns of xs in ascending order: two slices
+// are permutations of each other iff their sortedBits are equal.
+func sortedBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkSelection asserts that Percentile and PercentileInPlace agree with
+// the sort-based reference on xs at p, that Percentile leaves xs alone and
+// that PercentileInPlace only permutes it.
+func checkSelection(t *testing.T, xs []float64, p float64) {
+	t.Helper()
+	want := nearestRankRef(xs, p)
+	before := append([]float64(nil), xs...)
+	if got := Percentile(xs, p); !sameRankValue(got, want) {
+		t.Fatalf("Percentile(%v, %g) = %g, sorted reference %g", xs, p, got, want)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("Percentile mutated its input: %v, was %v", xs, before)
+		}
+	}
+	if got := PercentileInPlace(xs, p); !sameRankValue(got, want) {
+		t.Fatalf("PercentileInPlace(%v, %g) = %g, sorted reference %g", before, p, got, want)
+	}
+	if !slices.Equal(sortedBits(xs), sortedBits(before)) {
+		t.Fatalf("PercentileInPlace left %v, not a permutation of %v", xs, before)
+	}
+}
+
 func TestPercentileSortedMatchesPercentile(t *testing.T) {
 	f := func(raw []float64, pRaw float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p := math.Mod(math.Abs(pRaw), 1)
-		a := Percentile(xs, p)
-		sort.Float64s(xs)
-		b := PercentileSorted(xs, p)
-		return a == b
+		checkSelection(t, raw, math.Mod(math.Abs(pRaw), 1))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	// Shapes that defeat naive pivots, at every rank a QoS target uses.
+	const n = 3001
+	shapes := map[string]func(i int) float64{
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"constant":   func(int) float64 { return 7 },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"sawtooth":   func(i int) float64 { return float64(i % 17) },
+		"inf-tail": func(i int) float64 {
+			if i > n/3 {
+				return math.Inf(1)
+			}
+			return float64(i % 5)
+		},
+		// sort.Float64s puts NaN below -Inf; the selection must too.
+		"specials": func(i int) float64 {
+			return []float64{math.NaN(), math.Inf(1), float64(i), math.Inf(-1), math.Copysign(0, -1), 0, -float64(i)}[i%7]
+		},
+	}
+	for name, shape := range shapes {
+		for _, p := range []float64{0, 0.1, 0.3, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shape(i)
+			}
+			t.Run(fmt.Sprintf("%s/p=%g", name, p), func(t *testing.T) { checkSelection(t, xs, p) })
+		}
+	}
+}
+
+// FuzzPercentile checks the in-place selection against the sort-based
+// reference on decoded vectors rich in NaN, ±Inf, -0 and duplicates, at any
+// p, including values outside [0, 1] and NaN.
+func FuzzPercentile(f *testing.F) {
+	f.Add([]byte{}, 0.5)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 13, 21}, 0.99)
+	f.Add([]byte{3, 4, 3, 4, 3, 4}, 0.5)
+	f.Add([]byte{5, 5, 5, 5, 5, 6, 6, 6}, -1.0)
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 2}, 2.0)
+	f.Add([]byte{0, 0, 8, 16, 1, 1}, math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, p float64) {
+		var xs []float64
+		for i := 0; i < len(data) && len(xs) < 4096; i++ {
+			switch b := data[i]; b % 8 {
+			case 0:
+				xs = append(xs, math.NaN())
+			case 1:
+				xs = append(xs, math.Inf(1))
+			case 2:
+				xs = append(xs, math.Inf(-1))
+			case 3:
+				xs = append(xs, math.Copysign(0, -1))
+			case 4:
+				xs = append(xs, 0)
+			case 7:
+				// The next eight bytes as raw bits: any float64,
+				// NaN payloads included.
+				if i+8 < len(data) {
+					xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data[i+1:])))
+					i += 8
+					continue
+				}
+				fallthrough
+			default:
+				// A few small values, so duplicates are common.
+				xs = append(xs, float64(b>>3)-8)
+			}
+		}
+		checkSelection(t, xs, p)
+	})
 }
 
 func TestPercentileIsMonotoneInP(t *testing.T) {

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -55,9 +57,21 @@ func (s *Summary) Min() float64 { return s.min }
 func (s *Summary) Max() float64 { return s.max }
 
 // Percentile computes the p-quantile (p in [0,1]) of xs using the
-// nearest-rank method on a sorted copy. It returns 0 for an empty slice.
+// nearest-rank method. It returns 0 for an empty slice and leaves xs as it
+// was; PercentileInPlace avoids the copy.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	return PercentileInPlace(append([]float64(nil), xs...), p)
+}
+
+// PercentileInPlace is Percentile without the copy: it permutes xs. p is
+// clamped to [0,1], and the result is the smallest value such that at least
+// ceil(p*n) observations are <= it: exactly the value sort.Float64s would
+// put at that rank, in the same order (NaN first, then -Inf up to +Inf).
+// It finds that value by selection, in expected linear time, instead of
+// sorting.
+func PercentileInPlace(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 0 {
 		return 0
 	}
 	if p < 0 {
@@ -66,31 +80,6 @@ func Percentile(xs []float64, p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return percentileSorted(cp, p)
-}
-
-// PercentileSorted computes the p-quantile assuming xs is already sorted
-// ascending. It avoids the copy in Percentile for hot paths.
-func PercentileSorted(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return percentileSorted(xs, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	// Nearest-rank: the smallest value such that at least ceil(p*n)
-	// observations are <= it.
-	n := len(sorted)
 	rank := int(math.Ceil(p * float64(n)))
 	if rank < 1 {
 		rank = 1
@@ -98,7 +87,61 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if rank > n {
 		rank = n
 	}
-	return sorted[rank-1]
+	return selectNth(xs, rank-1)
+}
+
+// selectNth permutes xs so that xs[k] holds the value sort.Float64s would
+// place there, and returns it. It is a quickselect with a median-of-three
+// pivot and a three-way partition, so runs of equal values (a drowned
+// pool's +Inf latencies) end a round instead of degrading it. After
+// 2*log2(n) rounds it sorts what is left, which bounds the worst case.
+func selectNth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)
+	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(xs[lo:hi])
+			break
+		}
+		p := medianOfThree(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		// Partition xs[lo:hi] into < p, == p and > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case cmp.Less(x, p):
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case cmp.Less(p, x):
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
+// medianOfThree returns the middle of a, b and c under cmp.Less.
+func medianOfThree(a, b, c float64) float64 {
+	if cmp.Less(b, a) {
+		a, b = b, a
+	}
+	if cmp.Less(c, b) {
+		b = c
+		if cmp.Less(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // FractionBelow returns the fraction of xs that are <= limit. It is the
