@@ -269,11 +269,14 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // BenchmarkSuggest times the acquisition step over the indexed candidate
-// set: a surrogate refit plus the exact EI argmax scan. The small grid is
+// set: a surrogate refresh plus the exact EI argmax scan. The small grid is
 // the paper-scale space (and the old BenchmarkBOSuggest configuration, for
 // before/after comparison); the large grid is scan-dominated and shows the
 // sharded scan, serial vs parallel (the parallel variant only helps with
-// GOMAXPROCS > 1).
+// GOMAXPROCS > 1). Each runs twice: refitting hyper-parameters on every
+// observation (the ModeSerial path), and with Options.Incremental (every
+// other mode), where the surrogate grows by rank-1 updates between re-tunes
+// and the scan extends each cell's cached rows instead of recomputing them.
 func BenchmarkSuggest(b *testing.B) {
 	obj := func(x []int) float64 {
 		s := 0.0
@@ -283,10 +286,10 @@ func BenchmarkSuggest(b *testing.B) {
 		}
 		return -s
 	}
-	run := func(b *testing.B, bounds []int, seeds [][]int) {
+	run := func(b *testing.B, bounds []int, seeds [][]int, incremental bool) {
 		var o *bo.Optimizer
 		reset := func() {
-			o = bo.New(bounds, bo.Options{Rounding: true, Seed: 1})
+			o = bo.New(bounds, bo.Options{Rounding: true, Seed: 1, Incremental: incremental})
 			for _, x := range seeds {
 				o.Observe(x, obj(x))
 			}
@@ -307,20 +310,25 @@ func BenchmarkSuggest(b *testing.B) {
 				b.Fatal("grid exhausted")
 			}
 			v += 0.001
-			o.Observe(x, obj(x)-v) // forces a refit next iteration
+			o.Observe(x, obj(x)-v) // forces a surrogate refresh next iteration
 		}
 	}
-	b.Run("paper-grid", func(b *testing.B) {
-		run(b, []int{5, 12}, [][]int{{0, 0}, {5, 12}, {2, 6}})
-	})
 	seeds := [][]int{{0, 0, 0}, {23, 23, 15}, {11, 12, 7}}
-	b.Run("grid9216/scan-serial", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		run(b, []int{23, 23, 15}, seeds)
-	})
-	b.Run("grid9216/scan-parallel", func(b *testing.B) {
-		run(b, []int{23, 23, 15}, seeds)
-	})
+	for _, inc := range []struct {
+		suffix      string
+		incremental bool
+	}{{"", false}, {"-incremental", true}} {
+		b.Run("paper-grid"+inc.suffix, func(b *testing.B) {
+			run(b, []int{5, 12}, [][]int{{0, 0}, {5, 12}, {2, 6}}, inc.incremental)
+		})
+		b.Run("grid9216/scan-serial"+inc.suffix, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			run(b, []int{23, 23, 15}, seeds, inc.incremental)
+		})
+		b.Run("grid9216/scan-parallel"+inc.suffix, func(b *testing.B) {
+			run(b, []int{23, 23, 15}, seeds, inc.incremental)
+		})
+	}
 }
 
 // slowEvaluator models a real deployment backend: each evaluation holds a

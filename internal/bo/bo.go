@@ -25,14 +25,18 @@
 //   - Speculate runs the constant-liar chain: a lie is recorded at each
 //     pending point and the acquisition is re-maximized, predicting the
 //     points the serial trajectory would request next. Each step extends the
-//     GP factorization by one rank-1 update, but the chain still pays one
-//     full acquisition scan per proposal, so it only earns its keep when
-//     evaluations are expensive enough to hide that.
+//     GP factorization by one rank-1 update and each scan only adds one
+//     cached row per cell, so a proposal costs O(cells·n).
 //
 // With Options.Incremental set, the surrogate itself is maintained
 // incrementally: hyper-parameters are re-selected only at observation-count
 // boundaries, and between boundaries Observe extends the cached GP by rank-1
 // Cholesky updates instead of refitting from scratch.
+//
+// Every scan predicts through a gp.CellCache owned by the optimizer: each
+// open cell keeps its kernel row and forward solve across observations, so
+// between re-tunes a scan costs O(cells·n) rather than O(cells·n²), with
+// the bits GP.Predict would return.
 package bo
 
 import (
@@ -129,6 +133,12 @@ type Optimizer struct {
 	tuneCount int
 	surObs    int
 	surDirty  bool
+
+	// cache holds every scanned cell's kernel row and forward solve across
+	// scans; isOpen is the cell predicate its Sync assigns slots by. Both
+	// are created by the first scan.
+	cache  *gp.CellCache
+	isOpen func(cell int) bool
 
 	scratch []int // decode scratch for the serial paths
 }
@@ -454,16 +464,27 @@ func scanWorkers(cells int) int {
 	return w
 }
 
+// syncCache brings the cell cache to posterior g before a scan.
+func (o *Optimizer) syncCache(g *gp.GP) {
+	if o.cache == nil {
+		o.cache = gp.NewCellCache(o.space, len(o.bounds))
+		o.isOpen = func(cell int) bool { return o.state[cell] == candOpen }
+	}
+	o.cache.Sync(g, o.isOpen)
+}
+
 // argmaxEI returns the grid index of the open allowed candidate maximizing
-// EI, or -1 when none remain. The scan shards the index space across
-// goroutines; because EI is computed per candidate from the same immutable
-// posterior and the merge prefers the lowest index among equal maxima, the
-// result is bit-identical to the serial scan at any worker count. Candidates
-// failing the constraint are marked dead so later scans skip them.
+// EI, or -1 when none remain. The scan syncs the cell cache to g once, then
+// shards the index space across goroutines; shards touch disjoint cells, EI
+// is computed per candidate from the same immutable posterior and the merge
+// prefers the lowest index among equal maxima, so the result is
+// bit-identical to the serial scan at any worker count. Candidates failing
+// the constraint are marked dead so later scans skip them.
 func (o *Optimizer) argmaxEI(g *gp.GP, bestY float64) int {
+	o.syncCache(g)
 	nw := scanWorkers(o.space)
 	if nw == 1 {
-		_, idx := o.scanShard(g, bestY, 0, o.space)
+		_, idx := o.scanShard(bestY, 0, o.space)
 		return idx
 	}
 	eis := make([]float64, nw)
@@ -483,7 +504,7 @@ func (o *Optimizer) argmaxEI(g *gp.GP, bestY float64) int {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			eis[w], idxs[w] = o.scanShard(g, bestY, lo, hi)
+			eis[w], idxs[w] = o.scanShard(bestY, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -498,11 +519,12 @@ func (o *Optimizer) argmaxEI(g *gp.GP, bestY float64) int {
 	return bestIdx
 }
 
-// scanShard scans grid cells [lo, hi), returning the max EI and its index
-// (-1 when the range holds no open allowed candidate). Ties keep the lowest
-// index — the first hit of the ascending scan.
-func (o *Optimizer) scanShard(g *gp.GP, bestY float64, lo, hi int) (float64, int) {
-	pred := g.NewPredictor()
+// scanShard scans grid cells [lo, hi) against the synced cell cache,
+// returning the max EI and its index (-1 when the range holds no open
+// allowed candidate). Ties keep the lowest index — the first hit of the
+// ascending scan.
+func (o *Optimizer) scanShard(bestY float64, lo, hi int) (float64, int) {
+	pred := o.cache.Scanner()
 	x := make([]int, len(o.bounds))
 	xf := make([]float64, len(o.bounds))
 	bestEI, bestIdx := math.Inf(-1), -1
@@ -518,7 +540,7 @@ func (o *Optimizer) scanShard(g *gp.GP, bestY float64, lo, hi int) (float64, int
 		for i, v := range x {
 			xf[i] = float64(v)
 		}
-		mean, variance := pred.Predict(xf)
+		mean, variance := pred.Predict(idx, xf)
 		if ei := eiValue(mean, variance, bestY, o.opts.Xi); ei > bestEI {
 			bestEI, bestIdx = ei, idx
 		}
@@ -571,9 +593,10 @@ func (o *Optimizer) SuggestTopK(k int) ([][]int, bool) {
 // identical to a serial scan at any worker count, and element 0 is the
 // argmaxEI winner.
 func (o *Optimizer) topKEI(g *gp.GP, bestY float64, k int) []eiCand {
+	o.syncCache(g)
 	nw := scanWorkers(o.space)
 	if nw == 1 {
-		return o.scanShardTopK(g, bestY, 0, o.space, k)
+		return o.scanShardTopK(bestY, 0, o.space, k)
 	}
 	parts := make([][]eiCand, nw)
 	var wg sync.WaitGroup
@@ -590,7 +613,7 @@ func (o *Optimizer) topKEI(g *gp.GP, bestY float64, k int) []eiCand {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			parts[w] = o.scanShardTopK(g, bestY, lo, hi, k)
+			parts[w] = o.scanShardTopK(bestY, lo, hi, k)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -613,8 +636,8 @@ func (o *Optimizer) topKEI(g *gp.GP, bestY float64, k int) []eiCand {
 // scanShardTopK scans grid cells [lo, hi) and returns up to k candidates
 // ordered by (EI desc, index asc). The insertion keeps equal-EI candidates
 // in ascending-index order because the scan itself ascends.
-func (o *Optimizer) scanShardTopK(g *gp.GP, bestY float64, lo, hi, k int) []eiCand {
-	pred := g.NewPredictor()
+func (o *Optimizer) scanShardTopK(bestY float64, lo, hi, k int) []eiCand {
+	pred := o.cache.Scanner()
 	x := make([]int, len(o.bounds))
 	xf := make([]float64, len(o.bounds))
 	cands := make([]eiCand, 0, k+1)
@@ -631,7 +654,7 @@ func (o *Optimizer) scanShardTopK(g *gp.GP, bestY float64, lo, hi, k int) []eiCa
 		for i, v := range x {
 			xf[i] = float64(v)
 		}
-		mean, variance := pred.Predict(xf)
+		mean, variance := pred.Predict(idx, xf)
 		ei := eiValue(mean, variance, bestY, o.opts.Xi)
 		if len(cands) == k && ei <= worst {
 			continue
@@ -731,7 +754,6 @@ func (o *Optimizer) Speculate(x []int, k int, emit func([]int)) [][]int {
 		o.surObs, o.surDirty = preSurObs, preSurDirty
 	}()
 
-	pred := g.NewPredictor()
 	chain := g
 	xf := make([]float64, len(o.bounds))
 	out := make([][]int, 0, k)
@@ -741,9 +763,19 @@ func (o *Optimizer) Speculate(x []int, k int, emit func([]int)) [][]int {
 			for i, v := range cur {
 				xf[i] = float64(v)
 			}
-			lie, _ := pred.Predict(xf)
+			// The lie is the posterior mean at the pending point, read
+			// from the cell cache when the point lies on the grid.
+			var lie float64
+			idx, onGrid := o.gridIndex(cur)
+			if onGrid {
+				o.syncCache(chain)
+				pred := o.cache.Scanner()
+				lie, _ = pred.Predict(idx, xf)
+			} else {
+				lie, _ = chain.Predict(xf)
+			}
 			pos := len(o.obs)
-			if idx, ok := o.gridIndex(cur); ok {
+			if onGrid {
 				o.obsIdx[idx] = pos
 				o.state[idx] = candSampled
 				marks = append(marks, lieMark{grid: idx})
@@ -778,7 +810,6 @@ func (o *Optimizer) Speculate(x []int, k int, emit func([]int)) [][]int {
 			break
 		}
 		// Continue the liar chain from the believed argmax.
-		pred = chain.NewPredictor()
 		cur = nxt
 	}
 	return out

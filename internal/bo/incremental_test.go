@@ -262,7 +262,8 @@ func TestSuggestTopKShardingDeterministic(t *testing.T) {
 	}
 	bestY := o.bestY()
 	for _, k := range []int{1, 3, 8} {
-		serial := o.scanShardTopK(g, bestY, 0, o.space, k)
+		o.syncCache(g)
+		serial := o.scanShardTopK(bestY, 0, o.space, k)
 		sharded := o.topKEI(g, bestY, k)
 		if !reflect.DeepEqual(serial, sharded) {
 			t.Fatalf("k=%d: sharded %v != serial %v", k, sharded, serial)

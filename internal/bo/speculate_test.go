@@ -193,7 +193,8 @@ func TestArgmaxShardingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	bestY := o.bestY()
-	_, serialIdx := o.scanShard(g, bestY, 0, o.space)
+	o.syncCache(g)
+	_, serialIdx := o.scanShard(bestY, 0, o.space)
 	parIdx := o.argmaxEI(g, bestY)
 	if serialIdx != parIdx {
 		t.Fatalf("sharded argmax %d != serial %d", parIdx, serialIdx)

@@ -75,7 +75,8 @@ func FitAuto(xs [][]float64, ys []float64, opts HyperOptions) (*GP, error) {
 	// idempotent and the correlation matrix only sees rounded points) and
 	// keeps the whole search allocation-light. The target centering and the
 	// triangular-solve scratch are likewise hoisted out of the loop.
-	f := &fitter{pts: xs, centered: center(ys), solve: make([]float64, len(ys)), opts: opts}
+	f := &fitter{pts: xs, centered: center(ys), solve: make([]float64, len(ys)), opts: opts,
+		corr: linalg.NewMatrix(len(xs), len(xs))}
 	if opts.Rounding {
 		pts := make([][]float64, len(xs))
 		for i, x := range xs {
@@ -121,22 +122,26 @@ func FitAuto(xs [][]float64, ys []float64, opts HyperOptions) (*GP, error) {
 func clamp(v, lo, hi float64) float64 { return math.Max(lo, math.Min(hi, v)) }
 
 // fitter carries the hoisted state of one FitAuto search: the (pre-rounded)
-// inputs, the centered targets, and a triangular-solve scratch vector.
+// inputs, the centered targets, a triangular-solve scratch vector, and the
+// correlation matrix and factor every candidate length scale reuses.
 type fitter struct {
 	pts      [][]float64
 	centered []float64
 	solve    []float64
 	opts     HyperOptions
+	corr     *linalg.Matrix
+	chol     linalg.Cholesky
 }
 
 // corrCholesky factors the unit-variance Matern correlation matrix plus the
 // relative-noise diagonal for the given length scales. The fitter's points
 // are pre-rounded when the rounding transform is on, so the unit kernel is
-// evaluated directly.
+// evaluated directly. The factor is the fitter's own storage, valid until
+// the next call.
 func (f *fitter) corrCholesky(ls []float64) (*linalg.Cholesky, bool) {
 	n := len(f.pts)
 	unit := NewMatern52(1, ls)
-	c := linalg.NewMatrix(n, n)
+	c := f.corr
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := unit.Eval(f.pts[i], f.pts[j])
@@ -145,8 +150,7 @@ func (f *fitter) corrCholesky(ls []float64) (*linalg.Cholesky, bool) {
 		}
 		c.Set(i, i, c.At(i, i)+f.opts.NoiseRatio+jitter)
 	}
-	chol, err := linalg.NewCholesky(c)
-	return chol, err == nil
+	return &f.chol, f.chol.Factor(c) == nil
 }
 
 // variance returns sigma^2* = y~^T C^-1 y~ / n (floored away from zero so

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ribbon/internal/linalg"
 )
@@ -25,10 +26,19 @@ type GP struct {
 
 	// rxs is the pre-rounded training matrix, maintained only on GPs built
 	// through Extend when the kernel carries the Eq. 3 rounding transform; it
-	// keeps the extension's kernel-column computation allocation-free and
-	// lets NewPredictor skip re-rounding. Immutable after construction.
+	// keeps the extension's kernel-column computation allocation-free.
+	// Immutable after construction.
 	rxs [][]float64
+
+	// gen names the factorization's lineage: Fit stamps a fresh one, and
+	// Extend and WithTargets inherit it. Within a generation the kernel and
+	// noise are fixed, so row i of the factor depends only on xs[0..i] —
+	// the invariant CellCache keeps its rows by.
+	gen uint64
 }
+
+// generations hands out GP generations.
+var generations atomic.Uint64
 
 // Fit conditions a GP with the given kernel and observation noise variance on
 // the data. The targets are centered on their mean internally so the prior
@@ -91,6 +101,7 @@ func Fit(kernel Kernel, noiseVar float64, xs [][]float64, ys []float64) (*GP, er
 		alpha:    chol.SolveVec(centered),
 		chol:     chol,
 		meanY:    meanY,
+		gen:      generations.Add(1),
 	}, nil
 }
 
@@ -158,6 +169,7 @@ func (g *GP) Extend(x []float64, y float64) (*GP, error) {
 		xs:       xs,
 		ys:       ys,
 		chol:     chol,
+		gen:      g.gen,
 	}
 	if rounds {
 		g2.rxs = append(rxs[:n:n], q)
@@ -187,6 +199,7 @@ func (g *GP) WithTargets(ys []float64) (*GP, error) {
 		ys:       append([]float64(nil), ys...),
 		chol:     g.chol,
 		rxs:      g.rxs,
+		gen:      g.gen,
 	}
 	g2.recondition()
 	return g2, nil
@@ -244,7 +257,7 @@ func (g *GP) NoiseVar() float64 { return g.noiseVar }
 
 // Predict returns the posterior mean and variance at x. The variance is the
 // epistemic (latent-function) variance, excluding observation noise, and is
-// clamped at zero.
+// clamped at zero. CellCache returns the same bits from cached rows.
 func (g *GP) Predict(x []float64) (mean, variance float64) {
 	if len(x) != g.kernel.Dim() {
 		panic("gp: predict dimension mismatch")
@@ -254,9 +267,33 @@ func (g *GP) Predict(x []float64) (mean, variance float64) {
 	for i, xi := range g.xs {
 		kstar[i] = g.kernel.Eval(x, xi)
 	}
+	ss := g.solveRows(kstar, make([]float64, n), 0, 0)
+	return g.moments(kstar, g.kernel.Eval(x, x), ss)
+}
+
+// solveRows extends the forward solve w = L⁻¹k* from its first `from`
+// entries to all n, given ss = ‖w[:from]‖², and returns ‖w‖².
+func (g *GP) solveRows(kstar, w []float64, from int, ss float64) float64 {
+	for i := from; i < len(kstar); i++ {
+		w[i] = g.chol.ForwardStep(w, i, kstar[i])
+	}
+	return addSquares(ss, w[from:len(kstar)])
+}
+
+// addSquares returns ss + Σ v², summed in order.
+func addSquares(ss float64, w []float64) float64 {
+	for _, v := range w {
+		ss += v * v
+	}
+	return ss
+}
+
+// moments returns the posterior mean meanY + k*·α and the variance
+// k(q,q) − ‖L⁻¹k*‖² (GPML Alg. 2.1), clamped at zero, from a full K* row,
+// k(q,q) and ss = ‖L⁻¹k*‖².
+func (g *GP) moments(kstar []float64, kqq, ss float64) (mean, variance float64) {
 	mean = g.meanY + linalg.Dot(kstar, g.alpha)
-	v := g.chol.SolveVec(kstar)
-	variance = g.kernel.Eval(x, x) - linalg.Dot(kstar, v)
+	variance = kqq - ss
 	if variance < 0 {
 		variance = 0
 	}

@@ -29,17 +29,33 @@ func rowStart(i int) int { return i * (i + 1) / 2 }
 // NewCholesky factors the symmetric matrix a (only the lower triangle is
 // read). It returns ErrNotPositiveDefinite if a pivot becomes non-positive.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
+	c := &Cholesky{}
+	if err := c.Factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Factor replaces the factorization with that of the symmetric matrix a
+// (only the lower triangle is read), reusing the receiver's storage when it
+// is large enough — the hyper-parameter search factors one matrix size many
+// times. On error the receiver holds a partial factor and must be factored
+// again before use.
+func (c *Cholesky) Factor(a *Matrix) error {
 	if a.Rows != a.Cols {
 		panic("linalg: Cholesky of non-square matrix")
 	}
 	n := a.Rows
-	c := &Cholesky{n: 0, data: make([]float64, 0, rowStart(n)+n)}
+	if cap(c.data) < rowStart(n)+n {
+		c.data = make([]float64, 0, rowStart(n)+n)
+	}
+	c.n, c.data = 0, c.data[:0]
 	for i := 0; i < n; i++ {
 		if err := c.Extend(a.Data[i*a.Cols:i*a.Cols+i], a.At(i, i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // Size returns the dimension of the factored matrix.
@@ -119,8 +135,8 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 }
 
 // SolveVecInto solves A x = b into dst, which must have length Size and may
-// alias b. It allocates nothing — the per-candidate prediction scan of the
-// BO acquisition depends on that.
+// alias b. It allocates nothing — the hyper-parameter search's likelihood
+// evaluations depend on that.
 func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 	if len(b) != c.n || len(dst) != c.n {
 		panic("linalg: SolveVecInto dimension mismatch")
@@ -141,14 +157,23 @@ func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
 		panic("linalg: ForwardSolveInto dimension mismatch")
 	}
 	for i := 0; i < c.n; i++ {
-		s := b[i]
-		row := c.data[rowStart(i) : rowStart(i)+i]
-		for k, v := range row {
-			s -= v * dst[k]
-		}
-		dst[i] = s / c.data[rowStart(i)+i]
+		dst[i] = c.ForwardStep(dst, i, b[i])
 	}
 	return dst
+}
+
+// ForwardStep returns entry i of the solution of L y = b, given its first i
+// entries in y[:i] and b[i]: (b[i] - Σ_k L[i,k] y[k]) / L[i,i]. It is the
+// one row of ForwardSolveInto, with its exact operation order, so a caller
+// that extends a solve one row at a time as the factor grows gets the bits
+// a full solve would produce.
+func (c *Cholesky) ForwardStep(y []float64, i int, bi float64) float64 {
+	s := bi
+	base := rowStart(i)
+	for k, v := range c.data[base : base+i] {
+		s -= v * y[k]
+	}
+	return s / c.data[base+i]
 }
 
 // BackSolve solves L^T x = y.
