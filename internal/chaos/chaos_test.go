@@ -142,31 +142,6 @@ func TestEffectiveMs(t *testing.T) {
 	}
 }
 
-func TestMarketFactor(t *testing.T) {
-	s := &Schedule{Events: []CapacityEvent{
-		{AtMs: 100, Kind: KindPrice, Family: "g4dn", Factor: 1.5},
-		{AtMs: 200, Kind: KindPrice, Family: "c5", Factor: 0.8},
-		{AtMs: 300, Kind: KindPrice, Family: "g4dn", Factor: 2.0},
-	}}
-	cases := []struct {
-		fam  string
-		at   float64
-		want float64
-	}{
-		{"g4dn", 0, 1}, {"g4dn", 100, 1.5}, {"g4dn", 299, 1.5}, {"g4dn", 300, 2.0},
-		{"c5", 150, 1}, {"c5", 500, 0.8}, {"r5", 500, 1},
-	}
-	for _, c := range cases {
-		if got := s.MarketFactor(c.fam, c.at); got != c.want {
-			t.Errorf("MarketFactor(%s, %g) = %g, want %g", c.fam, c.at, got, c.want)
-		}
-	}
-	var nilS *Schedule
-	if nilS.MarketFactor("g4dn", 0) != 1 {
-		t.Fatalf("nil schedule must report baseline factor")
-	}
-}
-
 func TestSortCanonical(t *testing.T) {
 	s := &Schedule{Events: []CapacityEvent{
 		{AtMs: 200, Kind: KindPrice, Family: "c5", Factor: 1},

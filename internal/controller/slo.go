@@ -59,9 +59,6 @@ func (c *Controller) initSLO() error {
 	if target == 0 {
 		target = c.cfg.Spec.QoSPercentile
 	}
-	if !(target > 0 && target < 1) {
-		return fmt.Errorf("controller: slo target %g out of (0,1)", target)
-	}
 	rules := s.Rules
 	if rules == nil {
 		rules = slo.DefaultRules(c.cfg.Params.WindowMs)

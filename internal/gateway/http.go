@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -37,42 +36,24 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, e *api.Error) {
-	if status == http.StatusServiceUnavailable {
-		// Shed/rejected means the pool is saturated right now; a drained
-		// queue is at most a service time or two away. One second is the
-		// honest wall-clock hint at any time scale.
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, api.ErrorResponse{Error: e})
-}
-
 func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req api.InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest,
-			&api.Error{Code: api.ErrInvalidRequest, Message: "bad request body: " + err.Error()})
+	if e := wire.Decode(w, r, &req); e != nil {
+		wire.WriteError(w, e)
 		return
 	}
 	class := workload.Criticality(req.Class).Normalize()
 	if !class.Valid() {
-		writeErr(w, http.StatusBadRequest,
-			&api.Error{Code: api.ErrInvalidRequest, Message: fmt.Sprintf("unknown class %q", req.Class)})
+		wire.WriteError(w, &api.Error{Code: api.ErrInvalidRequest, Message: fmt.Sprintf("unknown class %q", req.Class)})
 		return
 	}
 	if req.Batch < 0 || req.ArrivalMs < 0 {
-		writeErr(w, http.StatusBadRequest,
-			&api.Error{Code: api.ErrInvalidRequest, Message: "batch and arrival_ms must be non-negative"})
+		wire.WriteError(w, &api.Error{Code: api.ErrInvalidRequest, Message: "batch and arrival_ms must be non-negative"})
+		return
+	}
+	if maxBatch := g.spec.Model.Batch.MaxBatch; req.Batch > maxBatch {
+		wire.WriteError(w, &api.Error{Code: api.ErrInvalidRequest,
+			Message: fmt.Sprintf("batch %d exceeds %s's max batch %d", req.Batch, g.spec.Model.Name, maxBatch)})
 		return
 	}
 	arrival := req.ArrivalMs
@@ -90,18 +71,16 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if reqID != "" {
 			w.Header().Set("X-Request-Id", reqID)
 		}
-		writeErr(w, http.StatusServiceUnavailable,
-			&api.Error{Code: api.ErrOverloaded, Message: "request " + out.String() + ": pool saturated"})
+		wire.WriteError(w, &api.Error{Code: api.ErrOverloaded, Message: "request " + out.String() + ": pool saturated"})
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError,
-			&api.Error{Code: api.ErrInternal, Message: err.Error()})
+		wire.WriteError(w, &api.Error{Code: api.ErrInternal, Message: err.Error()})
 	default:
 		traceID := ""
 		if resp.TraceSeq != 0 || resp.TraceID != "" {
 			traceID = obs.TraceID(resp.TraceSeq, resp.TraceID)
 			w.Header().Set("X-Request-Id", traceID)
 		}
-		writeJSON(w, http.StatusOK, api.InferResponse{
+		wire.WriteJSON(w, http.StatusOK, api.InferResponse{
 			Outcome:   out.String(),
 			LatencyMs: resp.LatencyMs,
 			ServiceMs: resp.ServiceMs,
@@ -131,21 +110,20 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, dto)
 	}
-	writeJSON(w, http.StatusOK, api.GatewayTraces{Traces: out})
+	wire.WriteJSON(w, http.StatusOK, api.GatewayTraces{Traces: out})
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.MetricsDTO())
+	wire.WriteJSON(w, http.StatusOK, g.MetricsDTO())
 }
 
 func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
 	s, ok := g.SLOStatus()
 	if !ok {
-		writeErr(w, http.StatusNotFound,
-			&api.Error{Code: api.ErrNotFound, Message: "slo engine not configured"})
+		wire.WriteError(w, &api.Error{Code: api.ErrNotFound, Message: "slo engine not configured"})
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.SLOStatus(s))
+	wire.WriteJSON(w, http.StatusOK, wire.SLOStatus(s))
 }
 
 // MetricsDTO assembles the wire-level metrics snapshot served by

@@ -153,9 +153,7 @@ func TestGatewayRequestIDAdoption(t *testing.T) {
 		t.Errorf("X-Request-Id echo = %q, want flood-42", got)
 	}
 	var ir api.InferResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatal(err)
-	}
+	decodeBody(t, resp.Body, &ir)
 	if ir.TraceID != "flood-42" {
 		t.Errorf("trace_id = %q, want flood-42", ir.TraceID)
 	}
@@ -166,9 +164,7 @@ func TestGatewayRequestIDAdoption(t *testing.T) {
 	}
 	defer tr.Body.Close()
 	var traces api.GatewayTraces
-	if err := json.NewDecoder(tr.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
-	}
+	decodeBody(t, tr.Body, &traces)
 	found := false
 	for _, trace := range traces.Traces {
 		if trace.ID == "flood-42" {

@@ -47,15 +47,9 @@ func (g *Gateway) initSLO(o *SLOOptions) error {
 	if target == 0 {
 		target = g.spec.QoSPercentile
 	}
-	if !(target > 0 && target < 1) {
-		return fmt.Errorf("gateway: slo target %g out of (0,1)", target)
-	}
 	shedTarget := o.ShedTarget
 	if shedTarget == 0 {
 		shedTarget = 0.9
-	}
-	if !(shedTarget > 0 && shedTarget < 1) {
-		return fmt.Errorf("gateway: slo shed target %g out of (0,1)", shedTarget)
 	}
 	if o.SampleEveryMs < 0 {
 		return fmt.Errorf("gateway: negative slo sample interval")

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -68,9 +67,7 @@ func TestGatewaySLOStatusAndEndpoint(t *testing.T) {
 		t.Fatalf("GET /v1/gateway/slo = %d", resp.StatusCode)
 	}
 	var dto api.SLOStatus
-	if err := json.NewDecoder(resp.Body).Decode(&dto); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeBody(t, resp.Body, &dto)
 	if len(dto.Objectives) != 9 {
 		t.Fatalf("wire objectives = %d, want 9", len(dto.Objectives))
 	}

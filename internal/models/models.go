@@ -14,7 +14,6 @@ package models
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Category separates general DNN/CNN models from embedding-table hybrid
@@ -190,16 +189,6 @@ func Catalog() []Profile {
 	out := make([]Profile, len(catalog))
 	copy(out, catalog)
 	return out
-}
-
-// Names returns the model names sorted alphabetically.
-func Names() []string {
-	ns := make([]string, len(catalog))
-	for i, p := range catalog {
-		ns[i] = p.Name
-	}
-	sort.Strings(ns)
-	return ns
 }
 
 // ErrUnknownModel is returned (wrapped) by Lookup for names not in the

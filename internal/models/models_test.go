@@ -112,18 +112,6 @@ func TestLookup(t *testing.T) {
 	MustLookup("BERT")
 }
 
-func TestNamesSorted(t *testing.T) {
-	ns := Names()
-	if len(ns) != 5 {
-		t.Fatalf("Names returned %d entries", len(ns))
-	}
-	for i := 1; i < len(ns); i++ {
-		if ns[i-1] >= ns[i] {
-			t.Fatalf("Names not sorted: %v", ns)
-		}
-	}
-}
-
 func TestCategoryString(t *testing.T) {
 	if GeneralDNN.String() != "general DNN/CNN" || Recommender.String() != "recommendation" {
 		t.Fatalf("category names changed")

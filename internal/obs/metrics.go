@@ -82,12 +82,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.getOrAdd(values, func(ls string) child { return &Gauge{ls: ls} }).(*Gauge)
 }
 
-// WithFunc registers a callback-backed gauge child; fn is called at
-// exposition time and must be safe for concurrent use.
-func (v *GaugeVec) WithFunc(fn func() float64, values ...string) {
-	v.f.getOrAdd(values, func(ls string) child { return &Gauge{fn: fn, ls: ls} })
-}
-
 // Gauge registers (or returns the existing) unlabeled stored-value gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.family(name, help, kindGauge, nil)
@@ -150,10 +144,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Uppers returns the bucket upper bounds (not including +Inf). The returned
-// slice is shared; callers must not modify it.
-func (h *Histogram) Uppers() []float64 { return h.uppers }
 
 // Counts appends the per-bucket (non-cumulative) counts to dst and returns
 // it. Pass a slice with sufficient capacity to avoid allocation.

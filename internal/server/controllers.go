@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 
@@ -30,11 +29,13 @@ type ctl struct {
 
 // controllerStore is the controller-run lifecycle over the shared store
 // machinery (store.go). sm and logger splice the server's telemetry into
-// every controller it creates; both may be nil (tests).
+// every controller it creates; both may be nil (tests). initialBudget and
+// adaptBudget fill a spec that omits its search budgets.
 type controllerStore struct {
 	*store[ctl, api.Controller]
-	sm     *serverMetrics
-	logger *slog.Logger
+	sm                         *serverMetrics
+	logger                     *slog.Logger
+	initialBudget, adaptBudget int
 }
 
 func newControllerStore(workers, queueDepth, retain int) *controllerStore {
@@ -53,17 +54,16 @@ func execController(ctx context.Context, c *ctl) *api.Error {
 	return nil
 }
 
-// create resolves the spec (catalogs, scenario expansion, controller
-// parameters) synchronously — an invalid request is a 400 here, not an
-// asynchronous failure — then registers and enqueues the run.
-func (st *controllerStore) create(spec api.ControllerSpec, defaultInitialBudget, defaultAdaptBudget int) (api.Controller, *api.Error) {
+// resolve builds a run from the spec (catalogs, scenario expansion,
+// controller parameters) for the store to enqueue.
+func (st *controllerStore) resolve(spec api.ControllerSpec) (*ctl, *api.Error) {
 	initialBudget := spec.InitialBudget
 	if initialBudget == 0 {
-		initialBudget = defaultInitialBudget
+		initialBudget = st.initialBudget
 	}
 	adaptBudget := spec.AdaptBudget
 	if adaptBudget == 0 {
-		adaptBudget = defaultAdaptBudget
+		adaptBudget = st.adaptBudget
 	}
 	svc := serviceConfig(spec.ServiceSpec, ribbon.SearchOptions{})
 	svc.DispatchObserver = st.sm.observer()
@@ -106,7 +106,7 @@ func (st *controllerStore) create(spec api.ControllerSpec, defaultInitialBudget,
 		},
 	})
 	if err != nil {
-		return api.Controller{}, apiError(err)
+		return nil, apiError(err)
 	}
 
 	var phases []ribbon.LoadPhase
@@ -126,12 +126,12 @@ func (st *controllerStore) create(spec api.ControllerSpec, defaultInitialBudget,
 		}
 		ph, err := workload.ScenarioPhases(workload.Scenario(name), total)
 		if err != nil {
-			return api.Controller{}, &api.Error{Code: api.ErrInvalidRequest, Message: err.Error()}
+			return nil, &api.Error{Code: api.ErrInvalidRequest, Message: err.Error()}
 		}
 		phases = ph
 	}
 
-	return st.add(&ctl{spec: spec, ctrl: ctrl, phases: phases})
+	return &ctl{spec: spec, ctrl: ctrl, phases: phases}, nil
 }
 
 // view snapshots the run as its wire representation; the control-loop
@@ -155,7 +155,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	for _, sc := range ribbon.Scenarios() {
 		phases, err := workload.ScenarioPhases(sc, defaultControllerQueries)
 		if err != nil { // unreachable for built-ins; fail loudly if it happens
-			s.writeErr(w, &api.Error{Code: api.ErrInternal, Message: err.Error()})
+			wire.WriteError(w, &api.Error{Code: api.ErrInternal, Message: err.Error()})
 			return
 		}
 		info := api.ScenarioInfo{Name: string(sc), Phases: make([]api.LoadPhase, 0, len(phases))}
@@ -164,47 +164,5 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Scenarios = append(out.Scenarios, info)
 	}
-	s.writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleCreateController(w http.ResponseWriter, r *http.Request) {
-	var spec api.ControllerSpec
-	if e := s.decode(w, r, &spec); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	if e := spec.Validate(); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	c, e := s.ctrls.create(spec, s.cfg.DefaultBudget, s.cfg.DefaultAdaptBudget)
-	if e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	w.Header().Set("Location", "/v1/controllers/"+c.ID)
-	s.writeJSON(w, http.StatusAccepted, c)
-}
-
-func (s *Server) handleListControllers(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, api.ControllerList{Controllers: s.ctrls.list()})
-}
-
-func (s *Server) handleGetController(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.ctrls.get(r.PathValue("id"))
-	if !ok {
-		s.writeErr(w, &api.Error{Code: api.ErrNotFound,
-			Message: fmt.Sprintf("no controller %q", r.PathValue("id"))})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, c)
-}
-
-func (s *Server) handleCancelController(w http.ResponseWriter, r *http.Request) {
-	c, e := s.ctrls.cancel(r.PathValue("id"))
-	if e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, c)
+	wire.WriteJSON(w, http.StatusOK, out)
 }

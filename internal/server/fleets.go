@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"net/http"
 
 	"ribbon"
 	"ribbon/api"
@@ -47,10 +45,9 @@ func execFleet(ctx context.Context, f *flt) *api.Error {
 	return nil
 }
 
-// create resolves the spec against the catalogs synchronously — an unknown
-// model is a 400 here, not an asynchronous failure — then registers and
-// enqueues the run.
-func (st *fleetStore) create(spec api.FleetSpec) (api.Fleet, *api.Error) {
+// resolve builds a run from the spec against the catalogs for the store to
+// enqueue.
+func (st *fleetStore) resolve(spec api.FleetSpec) (*flt, *api.Error) {
 	cfg := ribbon.FleetConfig{
 		BudgetPerHour: spec.BudgetPerHour,
 		SearchBudget:  spec.SearchBudget,
@@ -74,9 +71,9 @@ func (st *fleetStore) create(spec api.FleetSpec) (api.Fleet, *api.Error) {
 	}
 	fl, err := ribbon.NewFleet(cfg)
 	if err != nil {
-		return api.Fleet{}, apiError(err)
+		return nil, apiError(err)
 	}
-	return st.add(&flt{spec: spec, fleet: fl})
+	return &flt{spec: spec, fleet: fl}, nil
 }
 
 // view snapshots the run as its wire representation; the pipeline snapshot
@@ -138,46 +135,4 @@ func fleetStatusDTO(st ribbon.FleetStatus) api.FleetStatus {
 		}
 	}
 	return out
-}
-
-func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
-	var spec api.FleetSpec
-	if e := s.decode(w, r, &spec); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	if e := spec.Validate(); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	f, e := s.fleets.create(spec)
-	if e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	w.Header().Set("Location", "/v1/fleets/"+f.ID)
-	s.writeJSON(w, http.StatusAccepted, f)
-}
-
-func (s *Server) handleListFleets(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, api.FleetList{Fleets: s.fleets.list()})
-}
-
-func (s *Server) handleGetFleet(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.fleets.get(r.PathValue("id"))
-	if !ok {
-		s.writeErr(w, &api.Error{Code: api.ErrNotFound,
-			Message: fmt.Sprintf("no fleet %q", r.PathValue("id"))})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, f)
-}
-
-func (s *Server) handleCancelFleet(w http.ResponseWriter, r *http.Request) {
-	f, e := s.fleets.cancel(r.PathValue("id"))
-	if e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, f)
 }

@@ -25,9 +25,11 @@ type job struct {
 
 // jobStore is the job lifecycle over the shared store machinery
 // (store.go): bounded workers, queue, eviction, cooperative cancel.
+// defaultBudget fills a request that omits its budget.
 type jobStore struct {
 	*store[job, api.Job]
-	sm *serverMetrics
+	sm            *serverMetrics
+	defaultBudget int
 }
 
 func newJobStore(workers, queueDepth, retain int, sm *serverMetrics) *jobStore {
@@ -57,9 +59,12 @@ func execJob(ctx context.Context, j *job, sm *serverMetrics) *api.Error {
 	return nil
 }
 
-// create validates the request against the catalogs, registers the job, and
-// enqueues it. It never blocks: a full queue is an overload error.
-func (st *jobStore) create(req api.OptimizeRequest) (api.Job, *api.Error) {
+// resolve validates the request against the catalogs and builds the job
+// for the store to enqueue.
+func (st *jobStore) resolve(req api.OptimizeRequest) (*job, *api.Error) {
+	if req.Budget == 0 {
+		req.Budget = st.defaultBudget
+	}
 	j := &job{req: req}
 	// Resolve the spec now so an unknown model is a synchronous 400, not
 	// an asynchronous failure the caller discovers by polling. The
@@ -71,10 +76,10 @@ func (st *jobStore) create(req api.OptimizeRequest) (api.Job, *api.Error) {
 			st.observe(j, step)
 		}}, st.sm)
 	if e != nil {
-		return api.Job{}, e
+		return nil, e
 	}
 	j.opt = opt
-	return st.add(j)
+	return j, nil
 }
 
 // observe is the per-step progress hook.

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -24,6 +23,7 @@ import (
 	"ribbon/internal/dispatch"
 	"ribbon/internal/obs"
 	"ribbon/internal/slo"
+	"ribbon/internal/wire"
 )
 
 // Config tunes a Server. The zero value is ready for production use.
@@ -53,8 +53,6 @@ type Config struct {
 	// DefaultAdaptBudget is the controller's per-reconfiguration search
 	// budget when the request omits it; 16 when zero.
 	DefaultAdaptBudget int
-	// MaxBodyBytes caps request bodies; 1 MiB when zero.
-	MaxBodyBytes int64
 	// Logf receives diagnostics.
 	//
 	// Deprecated: set Logger instead. When only Logf is set it backs a
@@ -110,9 +108,6 @@ func New(cfg Config) *Server {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 256
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.ControllerWorkers <= 0 {
 		cfg.ControllerWorkers = cfg.Workers
 	}
@@ -139,7 +134,9 @@ func New(cfg Config) *Server {
 	s.fleets = newFleetStore(cfg.FleetWorkers, cfg.QueueDepth, cfg.RetainJobs)
 	s.jobs.hooks = s.sm.storeHooks("job")
 	s.ctrls.hooks = s.sm.storeHooks("controller")
+	s.jobs.defaultBudget = cfg.DefaultBudget
 	s.ctrls.sm, s.ctrls.logger = s.sm, cfg.Logger
+	s.ctrls.initialBudget, s.ctrls.adaptBudget = cfg.DefaultBudget, cfg.DefaultAdaptBudget
 	s.fleets.hooks = s.sm.storeHooks("fleet")
 	s.fleets.sm, s.fleets.logger = s.sm, cfg.Logger
 
@@ -153,18 +150,12 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleCreateJob)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	s.mux.HandleFunc("POST /v1/controllers", s.handleCreateController)
-	s.mux.HandleFunc("GET /v1/controllers", s.handleListControllers)
-	s.mux.HandleFunc("GET /v1/controllers/{id}", s.handleGetController)
-	s.mux.HandleFunc("DELETE /v1/controllers/{id}", s.handleCancelController)
-	s.mux.HandleFunc("POST /v1/fleets", s.handleCreateFleet)
-	s.mux.HandleFunc("GET /v1/fleets", s.handleListFleets)
-	s.mux.HandleFunc("GET /v1/fleets/{id}", s.handleGetFleet)
-	s.mux.HandleFunc("DELETE /v1/fleets/{id}", s.handleCancelFleet)
+	runRoutes(s.mux, s.jobs.store, s.jobs.resolve,
+		func(jobs []api.Job) any { return api.JobList{Jobs: jobs} })
+	runRoutes(s.mux, s.ctrls.store, s.ctrls.resolve,
+		func(ctrls []api.Controller) any { return api.ControllerList{Controllers: ctrls} })
+	runRoutes(s.mux, s.fleets.store, s.fleets.resolve,
+		func(fleets []api.Fleet) any { return api.FleetList{Fleets: fleets} })
 
 	// Deprecated v0 aliases.
 	s.mux.HandleFunc("GET /api/models", deprecated("/v1/models", s.handleModels))
@@ -201,58 +192,6 @@ func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
 		h(w, r)
 	}
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		s.cfg.Logger.Warn("server: encode response", "err", err)
-	}
-}
-
-// statusFor maps error codes to HTTP statuses.
-func statusFor(code api.ErrorCode) int {
-	switch code {
-	case api.ErrNotFound:
-		return http.StatusNotFound
-	case api.ErrJobFinished:
-		return http.StatusConflict
-	case api.ErrOverloaded:
-		return http.StatusServiceUnavailable
-	case api.ErrInternal:
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-func (s *Server) writeErr(w http.ResponseWriter, e *api.Error) {
-	status := statusFor(e.Code)
-	if status == http.StatusServiceUnavailable {
-		// Overloaded means a bounded worker-pool queue (jobs, controllers,
-		// fleets) is momentarily full; a slot frees as soon as one queued
-		// run finishes its current evaluation. One second is a fair hint,
-		// and the client folds it into its jittered backoff.
-		w.Header().Set("Retry-After", "1")
-	}
-	s.writeJSON(w, status, api.ErrorResponse{Error: e})
-}
-
-// decode parses a JSON body strictly: unknown fields and trailing garbage
-// are caller mistakes.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &api.Error{Code: api.ErrInvalidRequest, Message: "bad request body: " + err.Error()}
-	}
-	if dec.More() {
-		return &api.Error{Code: api.ErrInvalidRequest, Message: "trailing data after JSON body"}
-	}
-	return nil
 }
 
 // serviceConfig maps the wire-level service spec onto the library's
@@ -345,7 +284,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Description: m.Description,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
@@ -362,26 +301,21 @@ func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
 			Description:  i.Description,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req api.EvaluateRequest
-	if e := s.decode(w, r, &req); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	if e := req.Validate(); e != nil {
-		s.writeErr(w, e)
+	req, ok := decodeValid[api.EvaluateRequest](w, r)
+	if !ok {
 		return
 	}
 	opt, e := newOptimizer(req.ServiceSpec, ribbon.SearchOptions{}, s.sm)
 	if e != nil {
-		s.writeErr(w, e)
+		wire.WriteError(w, e)
 		return
 	}
 	if len(req.Config) != opt.Spec().Dim() {
-		s.writeErr(w, &api.Error{Code: api.ErrInvalidConfig,
+		wire.WriteError(w, &api.Error{Code: api.ErrInvalidConfig,
 			Message: fmt.Sprintf("config has %d entries for a %d-type pool", len(req.Config), opt.Spec().Dim())})
 		return
 	}
@@ -390,7 +324,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		// The request context died — client disconnect (the write below
 		// is then a no-op) or server shutdown, where the still-connected
 		// client must hear a retryable error rather than an empty 200.
-		s.writeErr(w, &api.Error{Code: api.ErrOverloaded,
+		wire.WriteError(w, &api.Error{Code: api.ErrOverloaded,
 			Message: "evaluation aborted: " + err.Error()})
 		return
 	}
@@ -412,20 +346,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			Shed:       cs.Shed,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleOptimize is the synchronous optimize flow. The search runs on the
 // request context, so a disconnecting caller aborts it; orchestrators that
 // need to observe or cancel a long search should use /v1/jobs instead.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req api.OptimizeRequest
-	if e := s.decode(w, r, &req); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	if e := req.Validate(); e != nil {
-		s.writeErr(w, e)
+	req, ok := decodeValid[api.OptimizeRequest](w, r)
+	if !ok {
 		return
 	}
 	opt, e := newOptimizer(req.ServiceSpec, ribbon.SearchOptions{
@@ -433,7 +362,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Mode:        searchMode(req.SearchMode),
 	}, s.sm)
 	if e != nil {
-		s.writeErr(w, e)
+		wire.WriteError(w, e)
 		return
 	}
 	budget := req.Budget
@@ -448,14 +377,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			// Client disconnect (write is a no-op) or server shutdown,
 			// where the client must hear a retryable error, not an
 			// empty 200.
-			s.writeErr(w, &api.Error{Code: api.ErrOverloaded,
+			wire.WriteError(w, &api.Error{Code: api.ErrOverloaded,
 				Message: "search aborted: " + err.Error()})
 			return
 		}
-		s.writeErr(w, &api.Error{Code: api.ErrInternal, Message: err.Error()})
+		wire.WriteError(w, &api.Error{Code: api.ErrInternal, Message: err.Error()})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, optimizeResponse(opt, res, true))
+	wire.WriteJSON(w, http.StatusOK, optimizeResponse(opt, res, true))
 }
 
 // optimizeResponse assembles the shared optimize summary. withBaseline
@@ -482,49 +411,4 @@ func optimizeResponse(opt *ribbon.Optimizer, res ribbon.SearchResult, withBaseli
 		}
 	}
 	return out
-}
-
-func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	var req api.OptimizeRequest
-	if e := s.decode(w, r, &req); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	if e := req.Validate(); e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	if req.Budget == 0 {
-		req.Budget = s.cfg.DefaultBudget
-	}
-	j, e := s.jobs.create(req)
-	if e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	s.writeJSON(w, http.StatusAccepted, j)
-}
-
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, api.JobList{Jobs: s.jobs.list()})
-}
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		s.writeErr(w, &api.Error{Code: api.ErrNotFound,
-			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, j)
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	j, e := s.jobs.cancel(r.PathValue("id"))
-	if e != nil {
-		s.writeErr(w, e)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, j)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ribbon/api"
+	"ribbon/internal/wire"
 )
 
 func newTestServer(t *testing.T) *Server {
@@ -197,8 +198,9 @@ func TestListEncodesEmptySlices(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d", rr.Code)
 	}
-	if body := strings.TrimSpace(rr.Body.String()); !strings.Contains(body, `"jobs": []`) {
-		t.Fatalf("empty job list should encode as [], got %s", body)
+	var list map[string]json.RawMessage
+	if err := json.Unmarshal(rr.Body.Bytes(), &list); err != nil || string(list["jobs"]) != "[]" {
+		t.Fatalf("empty job list should encode as [], got %s (%v)", rr.Body.String(), err)
 	}
 	for _, path := range []string{"/v1/models", "/v1/instances"} {
 		rr := doReq(t, s, http.MethodGet, path, "")
@@ -275,10 +277,8 @@ func TestAliasParity(t *testing.T) {
 // TestWriteErrRetryAfter: every 503 carries the Retry-After hint and no
 // other status does — the contract the client's backoff builds on.
 func TestWriteErrRetryAfter(t *testing.T) {
-	s := newTestServer(t)
-
 	rr := httptest.NewRecorder()
-	s.writeErr(rr, &api.Error{Code: api.ErrOverloaded, Message: "queue full"})
+	wire.WriteError(rr, &api.Error{Code: api.ErrOverloaded, Message: "queue full"})
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overloaded status %d", rr.Code)
 	}
@@ -287,7 +287,7 @@ func TestWriteErrRetryAfter(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.writeErr(rr, &api.Error{Code: api.ErrNotFound, Message: "no such job"})
+	wire.WriteError(rr, &api.Error{Code: api.ErrNotFound, Message: "no such job"})
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("not-found status %d", rr.Code)
 	}

@@ -86,8 +86,8 @@ func (s *Server) closeSLO() {
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if s.slo == nil {
-		s.writeErr(w, &api.Error{Code: api.ErrNotFound, Message: "slo engine disabled"})
+		wire.WriteError(w, &api.Error{Code: api.ErrNotFound, Message: "slo engine disabled"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, wire.SLOStatus(s.slo.Status()))
+	wire.WriteJSON(w, http.StatusOK, wire.SLOStatus(s.slo.Status()))
 }

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
 	"ribbon/api"
+	"ribbon/internal/wire"
 )
 
 // lifecycle is the shared server-side run state every store item embeds:
@@ -221,7 +223,7 @@ func (st *store[T, V]) cancel(id string) (V, *api.Error) {
 	var zero V
 	t, ok := st.items[id]
 	if !ok {
-		return zero, &api.Error{Code: api.ErrNotFound, Message: fmt.Sprintf("no %s %q", st.kind, id)}
+		return zero, st.notFound(id)
 	}
 	l := st.lc(t)
 	switch l.status {
@@ -247,15 +249,19 @@ func (st *store[T, V]) cancel(id string) (V, *api.Error) {
 	return st.view(t), nil
 }
 
-func (st *store[T, V]) get(id string) (V, bool) {
+func (st *store[T, V]) get(id string) (V, *api.Error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	t, ok := st.items[id]
 	if !ok {
 		var zero V
-		return zero, false
+		return zero, st.notFound(id)
 	}
-	return st.view(t), true
+	return st.view(t), nil
+}
+
+func (st *store[T, V]) notFound(id string) *api.Error {
+	return &api.Error{Code: api.ErrNotFound, Message: fmt.Sprintf("no %s %q", st.kind, id)}
 }
 
 // list returns every item in creation order; always a non-nil slice so the
@@ -268,4 +274,65 @@ func (st *store[T, V]) list() []V {
 		out = append(out, st.view(st.items[id]))
 	}
 	return out
+}
+
+// runRoutes mounts one store's create/list/get/cancel handlers at
+// /v1/<kind>s. resolve turns a decoded, validated request into an item
+// for the store to enqueue, so an invalid or unknown-model request is a
+// synchronous 400 rather than an asynchronous failure found by polling;
+// list wraps the items in the kind's list DTO.
+func runRoutes[T, V any, R validator](mux *http.ServeMux, st *store[T, V],
+	resolve func(R) (*T, *api.Error), list func([]V) any) {
+	base := "/v1/" + st.kind + "s"
+	mux.HandleFunc("POST "+base, func(w http.ResponseWriter, r *http.Request) {
+		req, ok := decodeValid[R](w, r)
+		if !ok {
+			return
+		}
+		t, e := resolve(req)
+		if e != nil {
+			wire.WriteError(w, e)
+			return
+		}
+		v, e := st.add(t)
+		if e != nil {
+			wire.WriteError(w, e)
+			return
+		}
+		w.Header().Set("Location", base+"/"+st.lc(t).id)
+		wire.WriteJSON(w, http.StatusAccepted, v)
+	})
+	mux.HandleFunc("GET "+base, func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, http.StatusOK, list(st.list()))
+	})
+	item := func(op func(id string) (V, *api.Error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			v, e := op(r.PathValue("id"))
+			if e != nil {
+				wire.WriteError(w, e)
+				return
+			}
+			wire.WriteJSON(w, http.StatusOK, v)
+		}
+	}
+	mux.HandleFunc("GET "+base+"/{id}", item(st.get))
+	mux.HandleFunc("DELETE "+base+"/{id}", item(st.cancel))
+}
+
+// validator is a request type that checks its own schema.
+type validator interface{ Validate() *api.Error }
+
+// decodeValid decodes and validates a request body, answering the error
+// itself when either step fails.
+func decodeValid[R validator](w http.ResponseWriter, r *http.Request) (R, bool) {
+	var req R
+	e := wire.Decode(w, r, &req)
+	if e == nil {
+		e = req.Validate()
+	}
+	if e != nil {
+		wire.WriteError(w, e)
+		return req, false
+	}
+	return req, true
 }

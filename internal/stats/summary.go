@@ -170,23 +170,3 @@ func MeanOf(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// NormalQuantile returns the standard normal quantile z with Phi(z) = p for
-// p in (0, 1), via bisection on erf. Accuracy ~1e-10, ample for calibrating
-// distribution parameters.
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("stats: NormalQuantile requires p in (0,1)")
-	}
-	cdf := func(z float64) float64 { return 0.5 * (1 + math.Erf(z/math.Sqrt2)) }
-	lo, hi := -10.0, 10.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if cdf(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -1,7 +1,8 @@
-// Package wire maps internal snapshots onto the api wire schema. It is the
-// one place the control-plane server and the gateway assemble controller,
-// audit-trail and SLO DTOs, so the two surfaces cannot drift apart; api
-// itself stays free of internal imports.
+// Package wire is the HTTP JSON edge the control-plane server and the
+// gateway share: the one strict request decoder, response writer and
+// error writer (http.go), and the mapping of internal controller,
+// audit-trail and SLO snapshots onto the api wire schema, so the two
+// surfaces cannot drift apart; api itself stays free of internal imports.
 package wire
 
 import (

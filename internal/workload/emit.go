@@ -6,25 +6,20 @@ import (
 	"time"
 )
 
-// Emit replays the stream into ch as a live open-loop arrival process: each
-// query is sent at its scheduled ArrivalMs of wall-clock time after the call,
-// in stream order, regardless of how fast the consumer drains the channel
-// (give ch enough capacity — a full channel blocks the sender and closes the
-// loop, which is exactly the coordinated-omission failure open-loop drivers
-// exist to avoid). The emitted queries are byte-identical to the stream's:
-// timing is the only live aspect, so a seeded stream emits a deterministic
-// sequence. Emit closes nothing; the caller owns ch. It returns the context's
-// error if cancelled mid-stream, nil after the last query is sent.
-func (s *Stream) Emit(ctx context.Context, ch chan<- Query) error {
-	return s.EmitScaled(ctx, ch, 1)
-}
-
-// EmitScaled is Emit with time compression: a query scheduled at t ms is sent
-// t*scale wall milliseconds after the call, so scale 1 is real time, 0.1 runs
-// ten times faster, and 0 disables pacing entirely (send as fast as the
-// channel accepts — the replay-determinism mode tests use). The gateway flood
-// driver runs scaled floods with the same scale the simulated backend uses,
-// preserving the stream-time dynamics the controller sees.
+// EmitScaled replays the stream into ch as a live open-loop arrival
+// process: a query scheduled at t ms is sent t*scale wall milliseconds after
+// the call, in stream order, regardless of how fast the consumer drains the
+// channel (give ch enough capacity — a full channel blocks the sender and
+// closes the loop, which is exactly the coordinated-omission failure
+// open-loop drivers exist to avoid). Scale 1 is real time, 0.1 runs ten
+// times faster, and 0 disables pacing entirely (send as fast as the channel
+// accepts — the replay-determinism mode tests use). The gateway flood driver
+// runs scaled floods with the same scale the simulated backend uses,
+// preserving the stream-time dynamics the controller sees. The emitted
+// queries are byte-identical to the stream's: timing is the only live
+// aspect, so a seeded stream emits a deterministic sequence. EmitScaled
+// closes nothing; the caller owns ch. It returns the context's error if
+// cancelled mid-stream, nil after the last query is sent.
 func (s *Stream) EmitScaled(ctx context.Context, ch chan<- Query, scale float64) error {
 	if scale < 0 {
 		return fmt.Errorf("workload: negative emit scale %g", scale)

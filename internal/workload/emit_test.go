@@ -137,7 +137,7 @@ func TestEmitCancelDuringPacing(t *testing.T) {
 	ch := make(chan Query, len(s.Queries))
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- s.Emit(ctx, ch) }()
+	go func() { errc <- s.EmitScaled(ctx, ch, 1) }()
 	<-ch // query 0 is due immediately; the emitter now sleeps toward t=60s
 	cancel()
 	select {
